@@ -97,8 +97,9 @@ class EncryptionPlan {
   [[nodiscard]] bool row_protected(std::size_t layer, int row) const;
 
   /// The deliberately-unprotected rows of weight layer `layer`, ascending —
-  /// SEAL's exact intended leakage boundary. secure.boundary proves the
-  /// plaintext rows observed on the bus equal this set, no more, no less.
+  /// SEAL's exact intended leakage boundary. scheme.boundary proves no
+  /// protected row crosses the bus in plaintext and none of these only as
+  /// ciphertext.
   [[nodiscard]] std::vector<int> plaintext_rows(std::size_t layer) const;
 
   /// Mutable access to the per-layer slices. Exists for the analyzer's

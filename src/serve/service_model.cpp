@@ -31,8 +31,7 @@ struct ProfileOutcome {
 ProfileOutcome profile_network(const NamedNetwork& network,
                                const sim::GpuConfig& config,
                                workload::RunOptions options,
-                               sim::Cycle sample_interval, bool collect,
-                               workload::BusProbeHook* probe_hook) {
+                               sim::Cycle sample_interval, bool collect) {
   ProfileOutcome outcome;
   if (collect) {
     telemetry::TelemetryOptions topts;
@@ -41,7 +40,6 @@ ProfileOutcome profile_network(const NamedNetwork& network,
   }
   options.telemetry = outcome.telemetry.get();
   options.jobs = 1;  // parallelism lives at the network level here
-  options.probe_hook = probe_hook;
   outcome.result = workload::run_network(network.specs, config, options);
   return outcome;
 }
@@ -72,20 +70,12 @@ ServiceModel::ServiceModel(std::vector<NamedNetwork> networks,
                            const sim::GpuConfig& config,
                            const workload::RunOptions& base_options,
                            int max_batch, int jobs,
-                           telemetry::RunTelemetry* collect,
-                           std::vector<workload::BusProbeHook*> probe_hooks)
+                           telemetry::RunTelemetry* collect)
     : config_(config) {
   if (networks.empty()) throw std::invalid_argument("ServiceModel: no networks");
-  if (!probe_hooks.empty() && probe_hooks.size() != networks.size()) {
-    throw std::invalid_argument(
-        "ServiceModel: probe_hooks must be parallel to networks");
-  }
   const bool collecting = collect != nullptr;
   const sim::Cycle sample_interval =
       collecting && collect->sampler() ? collect->sampler()->interval() : 0;
-  const auto hook_for = [&probe_hooks](std::size_t i) {
-    return probe_hooks.empty() ? nullptr : probe_hooks[i];
-  };
 
   std::vector<ProfileOutcome> outcomes;
   outcomes.reserve(networks.size());
@@ -93,8 +83,7 @@ ServiceModel::ServiceModel(std::vector<NamedNetwork> networks,
   if (workers <= 1 || networks.size() <= 1) {
     for (std::size_t i = 0; i < networks.size(); ++i) {
       outcomes.push_back(profile_network(networks[i], config, base_options,
-                                         sample_interval, collecting,
-                                         hook_for(i)));
+                                         sample_interval, collecting));
     }
   } else {
     util::ThreadPool pool(static_cast<int>(std::min<std::size_t>(
@@ -103,12 +92,11 @@ ServiceModel::ServiceModel(std::vector<NamedNetwork> networks,
     futures.reserve(networks.size());
     for (std::size_t i = 0; i < networks.size(); ++i) {
       const NamedNetwork& network = networks[i];
-      workload::BusProbeHook* hook = hook_for(i);
       futures.push_back(
           pool.submit([&network, &config, &base_options, sample_interval,
-                       collecting, hook] {
+                       collecting] {
             return profile_network(network, config, base_options,
-                                   sample_interval, collecting, hook);
+                                   sample_interval, collecting);
           }));
     }
     for (auto& future : futures) outcomes.push_back(future.get());

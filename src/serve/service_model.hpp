@@ -40,16 +40,9 @@ class ServiceModel {
   /// is overridden — parallelism lives at the network level here). When
   /// `collect` is non-null, per-network telemetry (layer records, component
   /// metrics, time series) is merged into it in network order.
-  ///
-  /// `probe_hooks`, when non-empty, must be parallel to `networks`: hook i is
-  /// installed as the bus-traffic observer of network i's profiling run (the
-  /// taint auditor behind sealdl-serve --secure-audit). Each hook is touched
-  /// only by its own network's profiling task, so per-network ledgers stay
-  /// jobs-invariant.
   ServiceModel(std::vector<NamedNetwork> networks, const sim::GpuConfig& config,
                const workload::RunOptions& base_options, int max_batch, int jobs,
-               telemetry::RunTelemetry* collect,
-               std::vector<workload::BusProbeHook*> probe_hooks = {});
+               telemetry::RunTelemetry* collect);
 
   [[nodiscard]] int count() const { return static_cast<int>(profiles_.size()); }
   [[nodiscard]] const std::string& name(int network) const {

@@ -162,11 +162,7 @@ void apply_model_injection(AnalysisInput& input) {
       }
       not_applicable(input.inject, "no encrypted conv ifmap channel");
     }
-    case Injection::kLayoutWeights:
-    case Injection::kSecureLeak: {
-      // The same corruption seen from two sides: layout.weights catches the
-      // map/plan disagreement statically, secure.leak catches the plaintext
-      // weight bytes it puts on the bus in the functional audit.
+    case Injection::kLayoutWeights: {
       const auto& plan = require_plan(input);
       for (std::size_t i = 0; i < input.specs.size(); ++i) {
         if (input.plan_index[i] < 0) continue;
@@ -181,25 +177,6 @@ void apply_model_injection(AnalysisInput& input) {
         }
       }
       not_applicable(input.inject, "no encrypted weight row");
-    }
-    case Injection::kSecureBoundary: {
-      // Over-protect one deliberately-plain row: the map now encrypts a row
-      // the plan exposes, so the observed plaintext set is smaller than the
-      // plan's unprotected set.
-      const auto& plan = require_plan(input);
-      for (std::size_t i = 0; i < input.specs.size(); ++i) {
-        if (input.plan_index[i] < 0) continue;
-        const auto& lp = plan.layer(static_cast<std::size_t>(input.plan_index[i]));
-        for (int r = 0; r < lp.rows; ++r) {
-          if (row_encrypted_safe(lp, r)) continue;
-          input.heap.mark_secure(
-              layers[i].weight_base +
-                  static_cast<std::uint64_t>(r) * layers[i].weight_row_pitch,
-              layers[i].weight_row_pitch);
-          return;
-        }
-      }
-      not_applicable(input.inject, "no plaintext weight row (ratio 1.0?)");
     }
     case Injection::kLayoutAlign:
     case Injection::kLayoutAccount: {

@@ -21,11 +21,11 @@
 //   trace.order     output stores preceded by a full load barrier
 //   trace.region    stores land in the layer's own output buffer (warning)
 //
-// The taint-ledger rule family (secure.leak / secure.boundary /
-// secure.counter / secure.oracle) lives in verify/secure_checkers.hpp: its
-// checkers consume a recorded bus-traffic ledger rather than an
-// AnalysisInput alone, so they run through run_secure_audit() or a
-// TaintAuditor instead of the Checker interface.
+// The other rule families consume evidence an AnalysisInput alone does not
+// carry — a bus-traffic ledger (scheme.*), a cycle profile (profile.*), a
+// serving configuration or report (serve.options.*, fleet.*), the lock
+// auditor (lock.*) — so their entry points validate them; rule_catalog()
+// indexes all of them.
 #pragma once
 
 #include <memory>
@@ -69,5 +69,15 @@ std::vector<std::unique_ptr<Checker>> default_checkers(
 Report run_checkers(const AnalysisInput& input,
                     const std::vector<std::unique_ptr<Checker>>& checkers,
                     std::size_t max_per_rule = 16);
+
+/// One catalog row: a rule id and the entry point that validates it.
+struct CatalogRule {
+  std::string id;
+  std::string validator;
+};
+
+/// Every rule id of every family — the single index `sealdl-check
+/// --list-rules`, docs/ANALYSIS.md and the injection table are held against.
+[[nodiscard]] std::vector<CatalogRule> rule_catalog();
 
 }  // namespace sealdl::verify

@@ -27,8 +27,8 @@
 //                   of profile.serve.stages)
 //
 // All checks are pure functions of (FleetOptions, FleetReport) — nothing is
-// re-simulated. sealdl-serve runs both halves on every invocation;
-// `--inject-fleet` corrupts a healthy report to prove each rule fires.
+// re-simulated. sealdl-serve runs both halves on every invocation; its
+// `--inject fleet-*` rows corrupt a healthy report to prove each rule fires.
 #pragma once
 
 #include <string>

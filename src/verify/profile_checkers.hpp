@@ -5,9 +5,9 @@
 // simulated cycle of every component lands in exactly one bucket. These
 // rules prove it on the emitted data, so a future attribution bug (a span
 // double-counted, a drain tail dropped) fails loudly instead of producing a
-// quietly-wrong flamegraph. sealdl-sim runs them on every profiled run and
-// supports seeded violations (--inject-profile) that must be caught, the
-// same self-test discipline as sealdl-check --inject. Rule catalog
+// quietly-wrong flamegraph. sealdl-sim runs them on every profiled run, and
+// its --inject profile-conservation|profile-total rows seed violations that
+// must be caught (verify/inject.hpp). Rule catalog
 // (docs/ANALYSIS.md):
 //
 //   profile.conservation   per-component buckets sum exactly to the

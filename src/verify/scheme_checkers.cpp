@@ -1,13 +1,16 @@
 #include "verify/scheme_checkers.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
+#include <optional>
 #include <set>
+#include <stdexcept>
 #include <string_view>
 
 #include "crypto/modes.hpp"
+#include "sim/functional_memory.hpp"
 #include "sim/mem_controller.hpp"
-#include "verify/secure_checkers.hpp"
 
 namespace sealdl::verify {
 
@@ -28,6 +31,14 @@ std::uint64_t plain_bytes(const TaintCounts& counts) {
 std::uint64_t cipher_bytes(const TaintCounts& counts) {
   return dir_sum(counts, TaintClass::kWeightCipher) +
          dir_sum(counts, TaintClass::kFmapCipher);
+}
+
+std::uint64_t all_bytes(const TaintCounts& counts) {
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < kTaintClassCount; ++i) {
+    sum += counts.read[i] + counts.write[i];
+  }
+  return sum;
 }
 
 /// The contract's wire policy for one data line. nullopt = the contract does
@@ -81,11 +92,146 @@ struct TimingProbe {
   }
 };
 
+/// splitmix64: the oracle's known-plaintext generator. Purely a function of
+/// the byte address, so writer and checker agree without shared state.
+std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
+void fill_expected_plaintext(sim::Addr line_addr,
+                             std::span<std::uint8_t> out) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const std::uint64_t word = mix64(line_addr + (i & ~std::uint64_t{7}));
+    out[i] = static_cast<std::uint8_t>(word >> ((i & 7) * 8));
+  }
+}
+
+/// The transcript's line sample for one region: the first and last line of
+/// every row/channel, and a stride scan capped at 2048 lines for dense FC
+/// vectors that have no per-unit structure.
+std::vector<sim::Addr> sampled_lines(const Region& region) {
+  constexpr std::uint64_t kMaxLinesPerRegion = 2048;
+  std::vector<sim::Addr> lines;
+  if (region.end <= region.begin || region.pitch == 0) return lines;
+  if (!region.dense_fc && region.pitch >= kLine && region.units > 0) {
+    for (int u = 0; u < region.units; ++u) {
+      const sim::Addr base =
+          region.begin + static_cast<std::uint64_t>(u) * region.pitch;
+      lines.push_back(base);
+      if (region.pitch > kLine) lines.push_back(base + region.pitch - kLine);
+    }
+    return lines;
+  }
+  const std::uint64_t nlines = (region.end - region.begin) / kLine;
+  const std::uint64_t step = std::max<std::uint64_t>(1, nlines / kMaxLinesPerRegion);
+  for (std::uint64_t k = 0; k < nlines; k += step) {
+    lines.push_back(region.begin + k * kLine);
+  }
+  const sim::Addr last = region.end - kLine;
+  if (lines.empty() || lines.back() != last) lines.push_back(last);
+  return lines;
+}
+
+/// The oracle transcript behind check_scheme_oracle. With `forge_lying_flag`
+/// it adds one observation whose encrypted flag lies — preferring a line that
+/// really was ciphertext, else any capture — which only the known-plaintext
+/// cross-check can see (the scheme-oracle injection).
+void oracle_transcript(const sim::SchemeInfo& entry, const AnalysisInput& input,
+                       bool forge_lying_flag, Report& report) {
+  crypto::Key128 key{};
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    key[i] = static_cast<std::uint8_t>(i * 17 + 3);
+  }
+  sim::FunctionalMemory memory(entry.family, entry.selective(),
+                               &input.heap.secure_map(), key);
+  TaintLedger ledger;
+  TaintProbe probe(&input, &ledger);
+  memory.set_probe(&probe);
+
+  std::vector<sim::Addr> lines;
+  for (const Region& region : input.regions) {
+    const auto sampled = sampled_lines(region);
+    lines.insert(lines.end(), sampled.begin(), sampled.end());
+  }
+  std::array<std::uint8_t, kLine> buf{};
+  for (const sim::Addr addr : lines) {
+    fill_expected_plaintext(addr, buf);
+    memory.write(addr, buf);
+  }
+  for (const sim::Addr addr : lines) memory.read(addr, buf);
+
+  if (forge_lying_flag && !ledger.captures().empty()) {
+    sim::Addr target = ledger.captures().begin()->first;
+    for (const auto& [addr, image] : ledger.captures()) {
+      if (image.encrypted) {
+        target = addr;
+        break;
+      }
+    }
+    fill_expected_plaintext(target, buf);
+    probe.on_data(target, buf, /*is_write=*/false, /*encrypted=*/true);
+  }
+
+  const std::string name = entry.cli_name;
+  for (const auto& [addr, image] : ledger.captures()) {
+    if (addr >= sim::kCounterRegionBase) continue;
+    if (input.region_at(addr) == nullptr) continue;
+    fill_expected_plaintext(addr, buf);
+    const bool equal = image.size == kLine &&
+                       std::equal(buf.begin(), buf.end(), image.bytes.begin());
+    if (image.encrypted && equal) {
+      add_error(report, "scheme.oracle", name, addr, addr + kLine,
+                "encrypted flag claims ciphertext but the wire bytes equal "
+                "the known plaintext — the flag lied");
+    } else if (!image.encrypted && !equal) {
+      add_error(report, "scheme.oracle", name, addr, addr + kLine,
+                "plaintext-flagged transfer does not match the known "
+                "plaintext image");
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<std::string> scheme_rules() {
-  return {"scheme.registry", "scheme.wire",     "scheme.boundary",
-          "scheme.metadata", "scheme.coverage", "scheme.timing"};
+  return {"scheme.registry", "scheme.wire",   "scheme.boundary",
+          "scheme.metadata", "scheme.coverage", "scheme.timing",
+          "scheme.oracle"};
+}
+
+WirePolicy plan_line_policy(const AnalysisInput& input, const Region& region,
+                            sim::Addr line_addr) {
+  if (!input.plan) return WirePolicy::kMustPlain;
+  // The network output buffer is always encrypted under SEAL.
+  if (region.spec_index >= input.specs.size()) return WirePolicy::kMustCipher;
+  const std::uint64_t off = line_addr - region.begin;
+  if (region.kind == Region::Kind::kWeights) {
+    const int lp_idx = input.plan_index[region.spec_index];
+    const int row = static_cast<int>(off / region.pitch);
+    return input.plan->row_protected(static_cast<std::size_t>(lp_idx), row)
+               ? WirePolicy::kMustCipher
+               : WirePolicy::kMustPlain;
+  }
+  const int cp = input.consumer_plan_index(region.spec_index);
+  if (cp < 0) return WirePolicy::kMustPlain;
+  const auto& lp = input.plan->layer(static_cast<std::size_t>(cp));
+  if (region.dense_fc) {
+    // 32 features per line; the line is ciphertext iff any feature in it is
+    // encrypted (mirrors SecureMap::line_is_secure over the 4-byte marks).
+    const int features = input.specs[region.spec_index].in_features;
+    const int f0 = static_cast<int>(off / 4);
+    const int f1 = std::min(features, f0 + static_cast<int>(kLine / 4));
+    for (int f = f0; f < f1; ++f) {
+      if (row_encrypted_safe(lp, f)) return WirePolicy::kMustCipher;
+    }
+    return WirePolicy::kMustPlain;
+  }
+  const int channel = static_cast<int>(off / region.pitch);
+  return row_encrypted_safe(lp, channel) ? WirePolicy::kMustCipher
+                                         : WirePolicy::kMustPlain;
 }
 
 void check_scheme_registry(std::span<const sim::SchemeInfo> entries,
@@ -231,10 +377,14 @@ void check_scheme_wire(const sim::SchemeInfo& entry,
                        const SchemeRunEvidence& evidence, Report& report) {
   const AnalysisInput& input = *evidence.input;
   const sim::SchemeContract& contract = entry.model->contract();
+  std::uint64_t untagged = 0;
   for (const auto& [addr, counts] : evidence.ledger->lines()) {
     if (addr >= sim::kCounterRegionBase) continue;
     const Region* region = input.region_at(addr);
-    if (region == nullptr) continue;  // untagged: secure.leak's warning
+    if (region == nullptr) {
+      untagged += all_bytes(counts);
+      continue;
+    }
     const auto policy = wire_policy(contract, input, *region, addr);
     if (!policy) continue;
     const std::uint64_t plain = plain_bytes(counts);
@@ -251,6 +401,16 @@ void check_scheme_wire(const sim::SchemeInfo& entry,
                     region->name + " on the bus, but " + entry.cli_name +
                     "'s contract leaves this address unprotected");
     }
+  }
+  if (untagged > 0) {
+    report.add({.rule = "scheme.wire",
+                .severity = Severity::kWarning,
+                .layer = "",
+                .begin = 0,
+                .end = 0,
+                .message = std::to_string(untagged) +
+                           " byte(s) crossed the bus outside every known "
+                           "region (untagged provenance)"});
   }
 }
 
@@ -425,55 +585,18 @@ Report run_scheme_conformance(const sim::SchemeInfo& entry,
   return report;
 }
 
-const std::vector<SchemeInjection>& all_scheme_injections() {
-  static const std::vector<SchemeInjection> kAll = {
-      SchemeInjection::kWire,     SchemeInjection::kBoundary,
-      SchemeInjection::kMetadata, SchemeInjection::kCoverage,
-      SchemeInjection::kTiming,   SchemeInjection::kRegistry,
-  };
-  return kAll;
+void check_scheme_oracle(const sim::SchemeInfo& entry,
+                         const AnalysisInput& input, Report& report) {
+  oracle_transcript(entry, input, /*forge_lying_flag=*/false, report);
 }
 
-const char* scheme_injection_name(SchemeInjection injection) {
-  switch (injection) {
-    case SchemeInjection::kWire: return "scheme-wire";
-    case SchemeInjection::kBoundary: return "scheme-boundary";
-    case SchemeInjection::kMetadata: return "scheme-metadata";
-    case SchemeInjection::kCoverage: return "scheme-coverage";
-    case SchemeInjection::kTiming: return "scheme-timing";
-    case SchemeInjection::kRegistry: return "scheme-registry";
-  }
-  return "?";
-}
-
-std::optional<SchemeInjection> scheme_injection_from_name(
-    const std::string& name) {
-  for (const SchemeInjection injection : all_scheme_injections()) {
-    if (name == scheme_injection_name(injection)) return injection;
-  }
-  return std::nullopt;
-}
-
-std::vector<std::string> scheme_injection_expected_rules(
-    SchemeInjection injection) {
-  switch (injection) {
-    case SchemeInjection::kWire: return {"scheme.wire"};
-    case SchemeInjection::kBoundary: return {"scheme.boundary"};
-    case SchemeInjection::kMetadata: return {"scheme.metadata"};
-    case SchemeInjection::kCoverage: return {"scheme.coverage"};
-    case SchemeInjection::kTiming: return {"scheme.timing"};
-    case SchemeInjection::kRegistry: return {"scheme.registry"};
-  }
-  return {};
-}
-
-Report run_scheme_injection(SchemeInjection injection,
+Report run_scheme_injection(Injection injection,
                             const sim::SchemeInfo& entry,
                             const SchemeRunEvidence& evidence) {
   Report report;
   const AnalysisInput& input = *evidence.input;
   switch (injection) {
-    case SchemeInjection::kWire: {
+    case Injection::kSchemeWire: {
       // Record plaintext bytes on the first line the contract requires to be
       // ciphertext; only copies are touched, never the run's real ledger.
       TaintLedger corrupted = *evidence.ledger;
@@ -494,7 +617,7 @@ Report run_scheme_injection(SchemeInjection injection,
       check_scheme_wire(entry, doctored, report);
       return report;
     }
-    case SchemeInjection::kBoundary: {
+    case Injection::kSchemeBoundary: {
       // Plaintext inside a protected weight row: find one under the scope.
       TaintLedger corrupted = *evidence.ledger;
       const sim::ProtectionScope scope = entry.model->contract().scope;
@@ -526,7 +649,7 @@ Report run_scheme_injection(SchemeInjection injection,
       check_scheme_boundary(entry, doctored, report);
       return report;
     }
-    case SchemeInjection::kMetadata: {
+    case Injection::kSchemeMetadata: {
       // One phantom counter line the bus probe never saw: breaks the
       // fills/writebacks/flushes decomposition for counter schemes, and the
       // zero-metadata clause for everything else.
@@ -536,14 +659,14 @@ Report run_scheme_injection(SchemeInjection injection,
       check_scheme_metadata(entry, doctored, report);
       return report;
     }
-    case SchemeInjection::kCoverage: {
+    case Injection::kSchemeCoverage: {
       // One claimed-encrypted byte no controller accounted for.
       SchemeRunEvidence doctored = evidence;
       doctored.stats.encrypted_bytes += 1;
       check_scheme_coverage(entry, doctored, report);
       return report;
     }
-    case SchemeInjection::kTiming: {
+    case Injection::kSchemeTiming: {
       // Falsify the declared serialization shape: claim passthrough for a
       // crypto scheme, claim serialized AES for baseline.
       sim::SchemeContract falsified = entry.model->contract();
@@ -554,7 +677,7 @@ Report run_scheme_injection(SchemeInjection injection,
       check_scheme_timing(entry, falsified, report);
       return report;
     }
-    case SchemeInjection::kRegistry: {
+    case Injection::kSchemeRegistry: {
       // Duplicate the first entry's CLI name onto the second in a copy of
       // the table.
       const auto real = sim::scheme_registry();
@@ -563,8 +686,15 @@ Report run_scheme_injection(SchemeInjection injection,
       check_scheme_registry(corrupted, report);
       return report;
     }
+    case Injection::kSchemeOracle:
+      oracle_transcript(entry, input, /*forge_lying_flag=*/true, report);
+      return report;
+    default:
+      break;
   }
-  return report;
+  throw std::invalid_argument(std::string("run_scheme_injection: ") +
+                              injection_name(injection) +
+                              " is not a scheme.* injection");
 }
 
 }  // namespace sealdl::verify

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "sim/mem_controller.hpp"
-#include "verify/secure_checkers.hpp"
 
 namespace sealdl::verify {
 
@@ -164,18 +163,6 @@ void TaintAuditor::merge_probe(std::unique_ptr<sim::BusProbe> probe,
   (void)spec_index;
   auto* recording = static_cast<RecordingTaintProbe*>(probe.get());
   ledger_.merge_from(recording->ledger());
-}
-
-Report TaintAuditor::check(sim::EncryptionScheme scheme, bool selective,
-                           std::uint64_t counter_traffic_bytes) const {
-  Report report;
-  check_taint_ledger(*input_, ledger_, scheme, selective, report);
-  if (selective && input_->plan) {
-    check_secure_boundary(*input_, ledger_, /*require_full_coverage=*/false,
-                          report);
-  }
-  check_counter_reconciliation(ledger_, counter_traffic_bytes, scheme, report);
-  return report;
 }
 
 }  // namespace sealdl::verify

@@ -7,8 +7,8 @@
 // reproduces the exact layout the runner builds) and accumulates a per-line,
 // per-direction TaintLedger; in functional mode it additionally captures the
 // raw wire image of each line for known-plaintext cross-checks. The
-// secure.* rule family (verify/secure_checkers.hpp) proves the per-scheme
-// no-plaintext-leakage invariant on top of the ledger.
+// scheme.* rule family (verify/scheme_checkers.hpp) proves each scheme's
+// wire contract on top of the ledger.
 //
 // TaintAuditor plugs the probe into a timing run through
 // workload::BusProbeHook: one private probe per layer task, merged strictly
@@ -28,7 +28,6 @@
 #include "sim/request.hpp"
 #include "util/json.hpp"
 #include "verify/analysis.hpp"
-#include "verify/diagnostics.hpp"
 #include "workload/network_runner.hpp"
 
 namespace sealdl::verify {
@@ -142,13 +141,6 @@ class TaintAuditor final : public workload::BusProbeHook {
 
   [[nodiscard]] const TaintLedger& ledger() const { return ledger_; }
   [[nodiscard]] const AnalysisInput& input() const { return *input_; }
-
-  /// Runs the secure.* ledger checkers over the accumulated traffic of a
-  /// timing run. `counter_traffic_bytes` is the controllers' own metadata
-  /// accounting (summed sim::SimStats::counter_traffic_bytes), which
-  /// secure.counter reconciles against the ledger's counter-region bytes.
-  [[nodiscard]] Report check(sim::EncryptionScheme scheme, bool selective,
-                             std::uint64_t counter_traffic_bytes) const;
 
  private:
   const AnalysisInput* input_;

@@ -1,6 +1,6 @@
 // Byte-provenance taint analysis: ledger semantics, SecureMap provenance
-// queries, the functional secure.* audit across all five schemes, seeded
-// secure-* injections, and jobs-invariance of a live timing-run ledger.
+// queries, and jobs-invariance and scheme conformance of a live timing-run
+// ledger.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -10,9 +10,10 @@
 #include "crypto/modes.hpp"
 #include "models/layer_spec.hpp"
 #include "sim/gpu_config.hpp"
+#include "sim/scheme_registry.hpp"
 #include "sim/secure_map.hpp"
 #include "verify/analysis.hpp"
-#include "verify/secure_checkers.hpp"
+#include "verify/scheme_checkers.hpp"
 #include "verify/taint.hpp"
 #include "workload/network_runner.hpp"
 
@@ -22,12 +23,10 @@ namespace {
 constexpr int kInputHw = 64;
 constexpr std::uint64_t kLine = crypto::kLineBytes;
 
-AnalysisInput small_input(Injection inject = Injection::kNone,
-                          bool selective = true, double ratio = 0.5) {
+AnalysisInput small_input(bool selective = true) {
   BuildOptions options;
   options.selective = selective;
-  options.plan.encryption_ratio = ratio;
-  options.inject = inject;
+  options.plan.encryption_ratio = 0.5;
   return build_input(models::vgg16_specs(kInputHw), options);
 }
 
@@ -122,86 +121,55 @@ TEST(SecureMapProvenance, SecureBytesInAtLineBoundaries) {
   EXPECT_EQ(sim::SecureMap{}.secure_bytes_in(0, ~0ull), 0u);
 }
 
-// ------------------------------------------------------- functional audit ---
-
-TEST(SecureAudit, AllSchemesCleanOnUnmodifiedPlan) {
-  for (const double ratio : {0.4, 0.5}) {
-    const AnalysisInput input = small_input(Injection::kNone, true, ratio);
-    Report report;
-    run_secure_audit(input, SecureAuditOptions{}, report);  // all five schemes
-    EXPECT_EQ(report.error_count(), 0u)
-        << "ratio " << ratio << "\n"
-        << report.to_text();
-  }
-}
-
-TEST(SecureAudit, BaselineInputAuditsWithoutPlan) {
-  const AnalysisInput input = small_input(Injection::kNone, false);
-  Report report;
-  run_secure_audit(input, SecureAuditOptions{}, report);
-  EXPECT_EQ(report.error_count(), 0u) << report.to_text();
-}
-
-TEST(SecureAudit, EverySecureInjectionFires) {
-  for (const Injection injection :
-       {Injection::kSecureLeak, Injection::kSecureBoundary,
-        Injection::kSecureCounter, Injection::kSecureOracle}) {
-    ASSERT_TRUE(is_secure_injection(injection));
-    const AnalysisInput input = small_input(injection);
-    SecureAuditOptions audit;
-    audit.schemes = audit_schemes_for(injection);
-    Report report;
-    run_secure_audit(input, audit, report);
-    for (const std::string& rule : expected_rules(injection)) {
-      EXPECT_TRUE(report.fired(rule))
-          << injection_name(injection) << " did not fire " << rule << "\n"
-          << report.to_text();
-    }
-  }
-}
-
 // ------------------------------------------------------- timing-run audit ---
 
 workload::NetworkResult timed_run(const AnalysisInput& input,
-                                  sim::EncryptionScheme scheme, bool selective,
-                                  int jobs, TaintAuditor& auditor) {
+                                  const sim::SchemeInfo& scheme, int jobs,
+                                  TaintAuditor& auditor) {
   sim::GpuConfig config = sim::GpuConfig::gtx480();
-  config.scheme = scheme;
-  config.selective = selective;
+  sim::apply_scheme(scheme, config);
   workload::RunOptions options;
   options.max_tiles_per_layer = 8;
-  options.selective = selective;
+  options.selective = scheme.selective();
+  options.scope = scheme.scope;
   options.plan = input.plan_options;
   options.jobs = jobs;
   options.probe_hook = &auditor;
   return workload::run_network(input.specs, config, options);
 }
 
+Report conformance(const sim::SchemeInfo& scheme, const TaintAuditor& auditor,
+                   const workload::NetworkResult& result) {
+  SchemeRunEvidence evidence;
+  evidence.input = &auditor.input();
+  evidence.ledger = &auditor.ledger();
+  for (const auto& layer : result.layers) evidence.stats.merge_from(layer.stats);
+  evidence.config = sim::GpuConfig::gtx480();
+  sim::apply_scheme(scheme, evidence.config);
+  return run_scheme_conformance(scheme, evidence);
+}
+
 TEST(TaintAuditor, TimingLedgerJobsInvariantAndClean) {
+  const sim::SchemeInfo& seal_c = *sim::find_scheme("seal-c");
   const AnalysisInput input = small_input();
   TaintAuditor serial(&input);
   TaintAuditor threaded(&input);
-  const auto result =
-      timed_run(input, sim::EncryptionScheme::kCounter, true, 1, serial);
-  timed_run(input, sim::EncryptionScheme::kCounter, true, 4, threaded);
+  const auto result = timed_run(input, seal_c, 1, serial);
+  timed_run(input, seal_c, 4, threaded);
 
   EXPECT_GT(serial.ledger().total_bytes(), 0u);
   EXPECT_EQ(serial.ledger().digest(), threaded.ledger().digest());
   EXPECT_EQ(serial.ledger().lines().size(), threaded.ledger().lines().size());
 
-  std::uint64_t counter_bytes = 0;
-  for (const auto& layer : result.layers) {
-    counter_bytes += layer.stats.counter_traffic_bytes;
-  }
-  const Report report =
-      serial.check(sim::EncryptionScheme::kCounter, true, counter_bytes);
+  const Report report = conformance(seal_c, serial, result);
   EXPECT_EQ(report.error_count(), 0u) << report.to_text();
 }
 
 TEST(TaintAuditor, BaselineTimingRunShowsFullVisibility) {
-  const AnalysisInput input = small_input(Injection::kNone, false);
+  const sim::SchemeInfo& baseline = *sim::find_scheme("baseline");
+  const AnalysisInput input = small_input(false);
   TaintAuditor auditor(&input);
-  timed_run(input, sim::EncryptionScheme::kNone, false, 1, auditor);
+  const auto result = timed_run(input, baseline, 1, auditor);
 
   const TaintLedger& ledger = auditor.ledger();
   EXPECT_GT(ledger.total_bytes(), 0u);
@@ -209,7 +177,7 @@ TEST(TaintAuditor, BaselineTimingRunShowsFullVisibility) {
   EXPECT_EQ(ledger.class_bytes(TaintClass::kWeightCipher), 0u);
   EXPECT_EQ(ledger.class_bytes(TaintClass::kFmapCipher), 0u);
   EXPECT_EQ(ledger.class_bytes(TaintClass::kCounterMeta), 0u);
-  const Report report = auditor.check(sim::EncryptionScheme::kNone, false, 0);
+  const Report report = conformance(baseline, auditor, result);
   EXPECT_EQ(report.error_count(), 0u) << report.to_text();
 }
 

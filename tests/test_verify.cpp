@@ -1,8 +1,12 @@
 // The static analyzer (sealdl-check): clean pipelines must pass, every rule
-// must fire under its seeded violation, and a hand-corrupted plan (dropped
-// channel propagation) must be caught at both the plan and the trace level.
+// must fire under its seeded violation, a hand-corrupted plan (dropped
+// channel propagation) must be caught at both the plan and the trace level,
+// and the injection table must stay consistent with the rule catalog.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -11,7 +15,6 @@
 #include "verify/checker.hpp"
 #include "verify/diagnostics.hpp"
 #include "verify/inject.hpp"
-#include "verify/secure_checkers.hpp"
 
 namespace sealdl::verify {
 namespace {
@@ -71,24 +74,17 @@ TEST(VerifyClean, SeedConvToFcSeamIsWarningNotError) {
 // ----------------------------------------------------------- injections ---
 
 TEST(VerifyInject, EveryRuleFires) {
-  // ResNet-18 has the residual topology, so every injection is applicable.
+  // ResNet-18 has the residual topology, so every sealdl-check row applies.
   const auto specs = models::resnet18_specs(kInputHw);
-  for (const Injection injection : all_injections()) {
+  for (const InjectionInfo& row : injection_table()) {
+    if (row.tool != InjectTool::kCheck) continue;
     BuildOptions options;
-    options.inject = injection;
+    options.inject = row.id;
     const AnalysisInput input = build_input(specs, options);
-    Report report = run_checkers(input, default_checkers(fast_trace()));
-    // The secure.* rules consume a bus ledger, not the AnalysisInput alone:
-    // route their injections through the functional taint audit, over the
-    // one scheme each injection targets (same path sealdl-check takes).
-    if (is_secure_injection(injection)) {
-      SecureAuditOptions audit;
-      audit.schemes = audit_schemes_for(injection);
-      run_secure_audit(input, audit, report);
-    }
-    for (const std::string& rule : expected_rules(injection)) {
+    const Report report = run_checkers(input, default_checkers(fast_trace()));
+    for (const std::string& rule : row.fires) {
       EXPECT_TRUE(report.fired(rule))
-          << injection_name(injection) << " did not fire " << rule << "\n"
+          << row.name << " did not fire " << rule << "\n"
           << report.to_text();
     }
   }
@@ -97,7 +93,6 @@ TEST(VerifyInject, EveryRuleFires) {
 TEST(VerifyInject, ResidualRequiresTopology) {
   BuildOptions options;
   options.inject = Injection::kPlanResidual;
-  EXPECT_TRUE(requires_residual_topology(Injection::kPlanResidual));
   // VGG has no identity blocks: the injection cannot be staged.
   EXPECT_THROW(build_input(models::vgg16_specs(kInputHw), options),
                std::invalid_argument);
@@ -192,14 +187,46 @@ TEST(VerifyReport, TextAndJsonRenderings) {
   EXPECT_NE(json.str().find("\"errors\""), std::string::npos);
 }
 
-TEST(VerifyReport, InjectionNamesRoundTrip) {
-  for (const Injection injection : all_injections()) {
-    const auto parsed = injection_from_name(injection_name(injection));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, injection);
-    EXPECT_FALSE(expected_rules(injection).empty());
+// ------------------------------------------------------ injection table ---
+
+TEST(InjectionTable, NamesUniqueAndRulesCataloged) {
+  std::set<std::string> catalog;
+  for (const CatalogRule& rule : rule_catalog()) catalog.insert(rule.id);
+  std::set<std::string> names;
+  for (const InjectionInfo& row : injection_table()) {
+    EXPECT_TRUE(names.insert(row.name).second) << "duplicate " << row.name;
+    EXPECT_NE(row.id, Injection::kNone);
+    EXPECT_EQ(&injection_info(row.id), &row) << row.name;
+    EXPECT_FALSE(row.fires.empty()) << row.name;
+    for (const std::string& rule : row.fires) {
+      EXPECT_EQ(catalog.count(rule), 1u) << row.name << " fires " << rule;
+    }
   }
-  EXPECT_FALSE(injection_from_name("no-such-injection").has_value());
+}
+
+TEST(InjectionTable, EachRowNamesExactlyOneTool) {
+  std::map<InjectTool, std::size_t> rows;
+  for (const InjectionInfo& row : injection_table()) {
+    // The selector of the row's own tool finds it; no other tool's does.
+    for (const InjectTool tool :
+         {InjectTool::kCheck, InjectTool::kSim, InjectTool::kServe}) {
+      if (tool == row.tool) {
+        EXPECT_EQ(select_injections(tool, row.name),
+                  std::vector<Injection>{row.id});
+      } else {
+        EXPECT_THROW((void)select_injections(tool, row.name),
+                     std::invalid_argument)
+            << row.name << " leaks into " << inject_tool_name(tool);
+      }
+    }
+    ++rows[row.tool];
+  }
+  EXPECT_EQ(rows[InjectTool::kCheck], 16u);
+  EXPECT_EQ(rows[InjectTool::kSim], 9u);
+  EXPECT_EQ(rows[InjectTool::kServe], 4u);
+  EXPECT_EQ(select_injections(InjectTool::kSim, "all").size(), 9u);
+  EXPECT_THROW((void)select_injections(InjectTool::kCheck, "no-such-injection"),
+               std::invalid_argument);
 }
 
 }  // namespace

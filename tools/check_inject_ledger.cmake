@@ -1,75 +1,90 @@
-# ctest gate: `sealdl-check --inject all --json` and `sealdl-sim
-# --inject-scheme all --inject-scheme-json` must account for every injection —
-# exercised + skipped == total, nothing missed — so CI can prove no injection
-# silently fell out of either self-test loop.
+# ctest gate: every tool's `--inject all --json` ledger must account for
+# exactly that tool's rows of the injection table — total == rows,
+# exercised + skipped == total, nothing missed — and skip exactly the pinned
+# rows, so no injection can silently fall out of a self-test loop. The table
+# is read from `sealdl-check --list-rules --json`.
 # Invoked as:
-#   cmake -DCHECK_BIN=<path> -DSIM_BIN=<path> -DOUT_DIR=<dir> -P check_inject_ledger.cmake
-if(NOT DEFINED CHECK_BIN OR NOT DEFINED SIM_BIN OR NOT DEFINED OUT_DIR)
-  message(FATAL_ERROR "usage: cmake -DCHECK_BIN=... -DSIM_BIN=... -DOUT_DIR=... -P check_inject_ledger.cmake")
-endif()
+#   cmake -DCHECK_BIN=<path> -DSIM_BIN=<path> -DSERVE_BIN=<path> -DOUT_DIR=<dir>
+#         -P check_inject_ledger.cmake
+cmake_minimum_required(VERSION 3.19)
+foreach(var CHECK_BIN SIM_BIN SERVE_BIN OUT_DIR)
+  if(NOT DEFINED ${var})
+    message(FATAL_ERROR "usage: cmake -DCHECK_BIN=... -DSIM_BIN=... -DSERVE_BIN=... -DOUT_DIR=... -P check_inject_ledger.cmake")
+  endif()
+endforeach()
 
-# VGG-16 has no residual topology, so exactly the plan-residual injection is
-# skipped — this pins both the skip path and its JSON accounting.
 execute_process(
-  COMMAND ${CHECK_BIN} --workload vgg16 --inject all
-          --json ${OUT_DIR}/inject_ledger.json
+  COMMAND ${CHECK_BIN} --list-rules --json ${OUT_DIR}/inject_catalog.json
   RESULT_VARIABLE rc
   OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "sealdl-check --inject all failed (rc=${rc})")
+  message(FATAL_ERROR "sealdl-check --list-rules --json failed (rc=${rc})")
 endif()
+file(READ ${OUT_DIR}/inject_catalog.json catalog)
+string(JSON table_rows LENGTH "${catalog}" injections)
 
-file(READ ${OUT_DIR}/inject_ledger.json ledger)
-foreach(field total exercised skipped missed)
-  if(NOT ledger MATCHES "\"${field}\":([0-9]+)")
-    message(FATAL_ERROR "inject ledger JSON lacks the \"${field}\" field")
+# check_ledger(<tool> <ledger name> <pinned skips> <command...>)
+function(check_ledger tool name pinned_skips)
+  set(rows 0)
+  math(EXPR last "${table_rows} - 1")
+  foreach(i RANGE ${last})
+    string(JSON row_tool GET "${catalog}" injections ${i} tool)
+    if(row_tool STREQUAL tool)
+      math(EXPR rows "${rows} + 1")
+    endif()
+  endforeach()
+
+  set(ledger_path ${OUT_DIR}/inject_ledger_${name}.json)
+  execute_process(
+    COMMAND ${ARGN} --inject all --json ${ledger_path}
+    RESULT_VARIABLE rc
+    OUTPUT_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${tool} --inject all failed (rc=${rc})")
   endif()
-  set(${field} ${CMAKE_MATCH_1})
-endforeach()
+  file(READ ${ledger_path} ledger)
+  foreach(field total exercised skipped missed)
+    string(JSON ${field} GET "${ledger}" ${field})
+  endforeach()
 
-math(EXPR accounted "${exercised} + ${skipped}")
-if(NOT accounted EQUAL total)
-  message(FATAL_ERROR "injection accounting broken: ${exercised} exercised + ${skipped} skipped != ${total} total")
-endif()
-if(NOT missed EQUAL 0)
-  message(FATAL_ERROR "${missed} injection(s) missed")
-endif()
-if(NOT skipped EQUAL 1 OR NOT ledger MATCHES "\"name\":\"plan-residual\",\"status\":\"skipped\"")
-  message(FATAL_ERROR "expected exactly plan-residual to be skipped on vgg16 (skipped=${skipped})")
-endif()
-message(STATUS "inject ledger OK: ${exercised} exercised + ${skipped} skipped == ${total} total, 0 missed")
-
-# Same accounting for the scheme.* self-test loop. Baseline pins the skip
-# path: with no must-cipher lines under scope none, exactly the wire and
-# boundary corruptions have nothing to violate.
-execute_process(
-  COMMAND ${SIM_BIN} --workload resnet18 --input 64 --tiles 24
-          --scheme baseline --inject-scheme all
-          --inject-scheme-json ${OUT_DIR}/inject_scheme_ledger.json
-  RESULT_VARIABLE rc
-  OUTPUT_QUIET)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "sealdl-sim --inject-scheme all failed (rc=${rc})")
-endif()
-
-file(READ ${OUT_DIR}/inject_scheme_ledger.json scheme_ledger)
-foreach(field total exercised skipped missed)
-  if(NOT scheme_ledger MATCHES "\"${field}\":([0-9]+)")
-    message(FATAL_ERROR "inject-scheme ledger JSON lacks the \"${field}\" field")
+  if(NOT total EQUAL rows)
+    message(FATAL_ERROR "${tool}: ledger total ${total} != ${rows} table rows")
   endif()
-  set(${field} ${CMAKE_MATCH_1})
-endforeach()
+  math(EXPR accounted "${exercised} + ${skipped}")
+  if(NOT accounted EQUAL total)
+    message(FATAL_ERROR "${tool}: ${exercised} exercised + ${skipped} skipped != ${total} total")
+  endif()
+  if(NOT missed EQUAL 0)
+    message(FATAL_ERROR "${tool}: ${missed} injection(s) missed")
+  endif()
 
-math(EXPR accounted "${exercised} + ${skipped}")
-if(NOT accounted EQUAL total)
-  message(FATAL_ERROR "scheme injection accounting broken: ${exercised} exercised + ${skipped} skipped != ${total} total")
-endif()
-if(NOT missed EQUAL 0)
-  message(FATAL_ERROR "${missed} scheme injection(s) missed")
-endif()
-if(NOT skipped EQUAL 2
-   OR NOT scheme_ledger MATCHES "\"name\":\"scheme-wire\",\"status\":\"skipped\""
-   OR NOT scheme_ledger MATCHES "\"name\":\"scheme-boundary\",\"status\":\"skipped\"")
-  message(FATAL_ERROR "expected exactly scheme-wire and scheme-boundary to be skipped on baseline (skipped=${skipped})")
-endif()
-message(STATUS "inject-scheme ledger OK: ${exercised} exercised + ${skipped} skipped == ${total} total, 0 missed")
+  set(skipped_names "")
+  math(EXPR last "${total} - 1")
+  foreach(i RANGE ${last})
+    string(JSON status GET "${ledger}" injections ${i} status)
+    if(status STREQUAL "skipped")
+      string(JSON row_name GET "${ledger}" injections ${i} name)
+      string(JSON reason GET "${ledger}" injections ${i} reason)
+      if(reason STREQUAL "")
+        message(FATAL_ERROR "${tool}: ${row_name} skipped without a reason")
+      endif()
+      list(APPEND skipped_names ${row_name})
+    endif()
+  endforeach()
+  if(NOT "${skipped_names}" STREQUAL "${pinned_skips}")
+    message(FATAL_ERROR "${tool}: skipped [${skipped_names}], expected exactly [${pinned_skips}]")
+  endif()
+  message(STATUS "${tool} inject ledger OK: ${exercised} exercised + ${skipped} skipped == ${total} rows, 0 missed")
+endfunction()
+
+# VGG-16 has no residual topology: exactly plan-residual has nothing to
+# corrupt. Baseline's scope none has no must-cipher line: exactly
+# scheme-wire and scheme-boundary are skipped. The fleet rows always apply.
+check_ledger(sealdl-check check "plan-residual"
+             ${CHECK_BIN} --workload vgg16)
+check_ledger(sealdl-sim sim "scheme-wire;scheme-boundary"
+             ${SIM_BIN} --workload resnet18 --input 64 --tiles 24
+             --scheme baseline)
+check_ledger(sealdl-serve serve ""
+             ${SERVE_BIN} --networks vgg16 --rate 40 --duration 0.05
+             --tiles 32 --devices 2)

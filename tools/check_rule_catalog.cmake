@@ -59,7 +59,7 @@ endif()
 # Reverse direction: backticked dotted ids in the document. Restrict to the
 # known rule-family prefixes so prose mentioning e.g. `docs/ANALYSIS.md` or
 # flag names never false-positives.
-string(REGEX MATCHALL "`(plan|layout|trace|secure|scheme|lock|serve|profile|fleet)\\.[a-z0-9.-]+`"
+string(REGEX MATCHALL "`(plan|layout|trace|scheme|lock|serve|profile|fleet)\\.[a-z0-9.-]+`"
        doc_rules "${doc}")
 list(REMOVE_DUPLICATES doc_rules)
 set(missing_in_binary "")
@@ -78,12 +78,22 @@ if(missing_in_binary)
   message(FATAL_ERROR "rules documented in ${DOC} but unknown to --list-rules: ${missing_in_binary}")
 endif()
 
-# Injection accounting: every exported injection must declare at least one
-# rule it fires, and that rule must itself be in the catalog.
+# Injection table: names are unique, each row names one of the three tools
+# that stage injections, and declares at least one rule it fires, which must
+# itself be in the catalog.
 string(JSON inject_count LENGTH "${catalog}" injections)
+set(inject_names "")
 math(EXPR last "${inject_count} - 1")
 foreach(i RANGE ${last})
   string(JSON name GET "${catalog}" injections ${i} name)
+  if(name IN_LIST inject_names)
+    message(FATAL_ERROR "injection name ${name} appears twice in the table")
+  endif()
+  list(APPEND inject_names ${name})
+  string(JSON tool GET "${catalog}" injections ${i} tool)
+  if(NOT tool MATCHES "^sealdl-(check|sim|serve)$")
+    message(FATAL_ERROR "injection ${name} names no known tool (\"${tool}\")")
+  endif()
   string(JSON fire_count LENGTH "${catalog}" injections ${i} fires)
   if(fire_count LESS 1)
     message(FATAL_ERROR "injection ${name} declares no rules it fires")

@@ -1,8 +1,8 @@
 # ctest gate: the five paper schemes must stay byte-identical to the goldens
 # captured before the pluggable SchemeModel refactor. Each scheme re-runs the
-# exact golden command and compares both artifacts — the profiled JSON run
-# report (cycle counts, per-layer stats, cycle profile) and the taint-audit
-# ledger (byte provenance + digest) — against tests/golden/.
+# golden command and compares both artifacts — the profiled JSON run report
+# (cycle counts, per-layer stats, cycle profile) and the scheme-audit ledger
+# (byte provenance + digest + findings) — against tests/golden/.
 #
 # The report's provenance block records the generating host's core count,
 # which is the one legitimately host-dependent byte; it is neutralized on
@@ -27,7 +27,7 @@ foreach(scheme baseline direct counter seal-d seal-c)
     COMMAND ${SIM_BIN} --workload resnet18 --input 96 --scheme ${scheme}
             --ratio 0.5 --tiles 48 --profile
             --json ${OUT_DIR}/golden_${scheme}.report.json
-            --secure-audit-json ${OUT_DIR}/golden_${scheme}.ledger.json
+            --scheme-audit-json ${OUT_DIR}/golden_${scheme}.ledger.json
     RESULT_VARIABLE rc
     OUTPUT_QUIET)
   if(NOT rc EQUAL 0)

@@ -5,14 +5,14 @@
 //
 //   sealdl-check --workload vgg16 --ratio 0.5
 //   sealdl-check --workload resnet18 --ratio 0.4 --json report.json
-//   sealdl-check --workload vgg16 --secure-audit   # + functional taint audit
 //   sealdl-check --workload resnet34 --inject all   # every rule must fire
-//   sealdl-check --list-rules
+//   sealdl-check --list-rules [--json catalog.json]
 //
-// --secure-audit additionally runs the byte-provenance taint audit: a
-// functional-memory transcript of every scheme's bus traffic, checked by the
-// secure.* rules (docs/ANALYSIS.md, "Security analysis"). secure-* injections
-// route through the audit automatically.
+// --inject <name|all> stages this tool's rows of the injection table
+// (verify/inject.hpp: the plan-*, layout-* and trace-* corruptions) and
+// demands each fires its rules; --json then writes the injection ledger
+// instead of the report. The bus-level scheme.* proofs run on live traffic
+// in sealdl-sim --scheme-audit.
 //
 // Exit codes: 0 = clean (or every injected violation was caught),
 // 1 = findings (or an injection went undetected), 2 = usage error.
@@ -26,12 +26,7 @@
 #include "util/cli.hpp"
 #include "util/json.hpp"
 #include "verify/checker.hpp"
-#include "verify/concurrency.hpp"
-#include "verify/fleet_checkers.hpp"
-#include "verify/profile_checkers.hpp"
-#include "verify/scheme_checkers.hpp"
-#include "verify/secure_checkers.hpp"
-#include "verify/serve_checkers.hpp"
+#include "verify/inject.hpp"
 
 using namespace sealdl;
 
@@ -54,83 +49,19 @@ core::RowPolicy parse_policy(const std::string& name) {
                               " (smallest|random|largest)");
 }
 
-/// One catalog row: a rule id and the entry point that validates it.
-struct CatalogRule {
-  std::string id;
-  std::string validator;
-};
-
-/// One catalog injection: the seeded violation's CLI name, the flag (and
-/// binary) that runs it, and the rules it is guaranteed to fire.
-struct CatalogInjection {
-  std::string name;
-  std::string flag;
-  std::vector<std::string> fires;
-};
-
-/// The complete rule catalog, the single index docs/ANALYSIS.md and the
-/// drift gate (tools/check_rule_catalog.cmake) are held against.
-std::vector<CatalogRule> rule_catalog() {
-  std::vector<CatalogRule> catalog;
-  for (const auto& checker : verify::default_checkers()) {
-    for (const std::string& rule : checker->rules()) {
-      catalog.push_back({rule, "checker: " + std::string(checker->name())});
-    }
-  }
-  // Rule families owned by other entry points, listed here so the catalog
-  // printed by --list-rules stays the single complete index.
-  for (const std::string& rule : verify::serve_option_rules()) {
-    catalog.push_back({rule, "validated by sealdl-serve"});
-  }
-  for (const std::string& rule : verify::fleet_rules()) {
-    catalog.push_back({rule, "validated by sealdl-serve"});
-  }
-  for (const std::string& rule : verify::profile_rules()) {
-    catalog.push_back({rule, "validated by sealdl-sim/sealdl-serve"});
-  }
-  for (const std::string& rule : verify::secure_rules()) {
-    catalog.push_back({rule,
-                       "taint audit: --secure-audit here / in sealdl-sim "
-                       "and sealdl-serve"});
-  }
-  for (const std::string& rule : verify::scheme_rules()) {
-    catalog.push_back(
-        {rule, "scheme conformance: sealdl-sim --scheme-audit"});
-  }
-  for (const std::string& rule : verify::lock_audit_rules()) {
-    catalog.push_back({rule, "runtime lock auditor, SEALDL_LOCK_AUDIT"});
-  }
-  return catalog;
-}
-
-std::vector<CatalogInjection> injection_catalog() {
-  std::vector<CatalogInjection> catalog;
-  for (const verify::Injection injection : verify::all_injections()) {
-    catalog.push_back({verify::injection_name(injection), "--inject",
-                       verify::expected_rules(injection)});
-  }
-  for (const verify::SchemeInjection injection :
-       verify::all_scheme_injections()) {
-    catalog.push_back({verify::scheme_injection_name(injection),
-                       "sealdl-sim --inject-scheme",
-                       verify::scheme_injection_expected_rules(injection)});
-  }
-  return catalog;
-}
-
 void list_rules() {
-  for (const CatalogRule& rule : rule_catalog()) {
+  for (const verify::CatalogRule& rule : verify::rule_catalog()) {
     std::printf("%-16s (%s)\n", rule.id.c_str(), rule.validator.c_str());
   }
-  std::printf("\ninjections (--inject <name>|all; scheme-* via "
-              "sealdl-sim --inject-scheme):\n");
-  for (const CatalogInjection& injection : injection_catalog()) {
+  std::printf("\ninjections (<tool> --inject <name>|all):\n");
+  for (const verify::InjectionInfo& row : verify::injection_table()) {
     std::string rules;
-    for (const std::string& rule : injection.fires) {
+    for (const std::string& rule : row.fires) {
       if (!rules.empty()) rules += ", ";
       rules += rule;
     }
-    std::printf("%-18s fires: %s\n", injection.name.c_str(), rules.c_str());
+    std::printf("%-20s %-12s fires: %s\n", row.name,
+                verify::inject_tool_name(row.tool), rules.c_str());
   }
 }
 
@@ -144,7 +75,7 @@ void write_json_catalog(const std::string& path) {
   json.field("mode", "rule-catalog");
   json.key("rules");
   json.begin_array();
-  for (const CatalogRule& rule : rule_catalog()) {
+  for (const verify::CatalogRule& rule : verify::rule_catalog()) {
     json.begin_object();
     json.field("id", rule.id);
     json.field("validator", rule.validator);
@@ -153,13 +84,13 @@ void write_json_catalog(const std::string& path) {
   json.end_array();
   json.key("injections");
   json.begin_array();
-  for (const CatalogInjection& injection : injection_catalog()) {
+  for (const verify::InjectionInfo& row : verify::injection_table()) {
     json.begin_object();
-    json.field("name", injection.name);
-    json.field("flag", injection.flag);
+    json.field("name", row.name);
+    json.field("tool", verify::inject_tool_name(row.tool));
     json.key("fires");
     json.begin_array();
-    for (const std::string& rule : injection.fires) json.value(rule);
+    for (const std::string& rule : row.fires) json.value(rule);
     json.end_array();
     json.end_object();
   }
@@ -170,7 +101,7 @@ void write_json_catalog(const std::string& path) {
 
 void write_json_report(const std::string& path, const std::string& workload,
                        const verify::BuildOptions& options,
-                       const verify::Report& report, bool secure_audit) {
+                       const verify::Report& report) {
   util::JsonWriter json;
   json.begin_object();
   json.field("tool", "sealdl-check");
@@ -178,104 +109,26 @@ void write_json_report(const std::string& path, const std::string& workload,
   json.field("workload", workload);
   json.field("selective", options.selective);
   json.field("encryption_ratio", options.plan.encryption_ratio);
-  json.field("secure_audit", secure_audit);
-  if (options.inject != verify::Injection::kNone) {
-    json.field("inject", verify::injection_name(options.inject));
-  }
   json.key("report");
   report.write_json(json);
   json.end_object();
   telemetry::write_text_file(path, json.str());
 }
 
-/// Per-injection outcome for the --inject all ledger (text + JSON).
-struct InjectOutcome {
-  std::string name;
-  std::string status;  ///< "caught", "missed" or "skipped"
-  std::string reason;  ///< only for "skipped"
-  std::uint64_t errors = 0;
-  std::uint64_t warnings = 0;
-};
-
-/// Runs one injection and verifies its expected rules all fired. Secure
-/// injections additionally run the taint audit over the schemes they target,
-/// since the secure.* rules consume a bus ledger, not the AnalysisInput alone.
-bool run_injection(const std::vector<models::LayerSpec>& specs,
-                   verify::BuildOptions options, verify::Injection injection,
-                   const verify::TraceCheckOptions& trace_options,
-                   InjectOutcome* outcome = nullptr) {
+/// Stages one plan/layout/trace injection: rebuilds the analysis model
+/// with the corruption applied and runs the full checker suite over it.
+verify::StagedInjection stage_injection(
+    const std::vector<models::LayerSpec>& specs, verify::BuildOptions options,
+    const verify::TraceCheckOptions& trace_options,
+    const std::string& workload, verify::Injection injection) {
+  if (injection == verify::Injection::kPlanResidual &&
+      verify::residual_edges_from_names(specs).empty()) {
+    return {verify::Report(), "no residual topology in " + workload};
+  }
   options.inject = injection;
   const verify::AnalysisInput input = verify::build_input(specs, options);
-  verify::Report report =
-      verify::run_checkers(input, verify::default_checkers(trace_options));
-  if (verify::is_secure_injection(injection)) {
-    verify::SecureAuditOptions audit;
-    audit.schemes = verify::audit_schemes_for(injection);
-    verify::run_secure_audit(input, audit, report);
-  }
-  bool caught = true;
-  for (const std::string& rule : verify::expected_rules(injection)) {
-    if (!report.fired(rule)) {
-      std::printf("MISSED  %-18s rule %s did not fire\n",
-                  verify::injection_name(injection), rule.c_str());
-      caught = false;
-    }
-  }
-  if (caught) {
-    std::printf("caught  %-18s (%llu errors, %llu warnings)\n",
-                verify::injection_name(injection),
-                static_cast<unsigned long long>(report.error_count()),
-                static_cast<unsigned long long>(report.warning_count()));
-  }
-  if (outcome) {
-    outcome->name = verify::injection_name(injection);
-    outcome->status = caught ? "caught" : "missed";
-    outcome->errors = report.error_count();
-    outcome->warnings = report.warning_count();
-  }
-  return caught;
-}
-
-/// Machine-readable ledger for --inject all --json: one entry per injection
-/// with its status, plus totals CI can assert (exercised + skipped == total).
-void write_json_inject_report(const std::string& path,
-                              const std::string& workload,
-                              const std::vector<InjectOutcome>& outcomes) {
-  std::uint64_t exercised = 0, skipped = 0, missed = 0;
-  for (const InjectOutcome& o : outcomes) {
-    if (o.status == "skipped") {
-      ++skipped;
-    } else {
-      ++exercised;
-      if (o.status == "missed") ++missed;
-    }
-  }
-  util::JsonWriter json;
-  json.begin_object();
-  json.field("tool", "sealdl-check");
-  json.field("schema_version", 1);
-  json.field("mode", "inject-all");
-  json.field("workload", workload);
-  json.field("total", static_cast<std::uint64_t>(outcomes.size()));
-  json.field("exercised", exercised);
-  json.field("skipped", skipped);
-  json.field("missed", missed);
-  json.key("injections");
-  json.begin_array();
-  for (const InjectOutcome& o : outcomes) {
-    json.begin_object();
-    json.field("name", o.name);
-    json.field("status", o.status);
-    if (!o.reason.empty()) json.field("reason", o.reason);
-    if (o.status != "skipped") {
-      json.field("errors", o.errors);
-      json.field("warnings", o.warnings);
-    }
-    json.end_object();
-  }
-  json.end_array();
-  json.end_object();
-  telemetry::write_text_file(path, json.str());
+  return {verify::run_checkers(input, verify::default_checkers(trace_options)),
+          ""};
 }
 
 }  // namespace
@@ -308,7 +161,6 @@ int main(int argc, char** argv) {
     const std::string inject_name = flags.get("inject", "");
     const std::string json_path = flags.get("json", "");
     const bool strict = flags.get_bool("strict", false);
-    const bool secure_audit = flags.get_bool("secure-audit", false);
 
     const auto unused = flags.unused();
     if (!unused.empty()) {
@@ -319,67 +171,22 @@ int main(int argc, char** argv) {
     const std::vector<models::LayerSpec> specs =
         parse_workload(workload, input_hw);
 
-    if (inject_name == "all") {
-      const bool has_residuals =
-          !verify::residual_edges_from_names(specs).empty();
-      bool all_caught = true;
-      int run = 0;
-      int skipped = 0;
-      std::vector<InjectOutcome> outcomes;
-      for (const verify::Injection injection : verify::all_injections()) {
-        InjectOutcome outcome;
-        if (verify::requires_residual_topology(injection) && !has_residuals) {
-          std::printf("skip    %-18s (no residual topology in %s)\n",
-                      verify::injection_name(injection), workload.c_str());
-          outcome.name = verify::injection_name(injection);
-          outcome.status = "skipped";
-          outcome.reason = "no residual topology in " + workload;
-          outcomes.push_back(std::move(outcome));
-          ++skipped;
-          continue;
-        }
-        all_caught &=
-            run_injection(specs, options, injection, trace_options, &outcome);
-        outcomes.push_back(std::move(outcome));
-        ++run;
-      }
-      const int total = static_cast<int>(verify::all_injections().size());
-      if (run + skipped != total) {
-        std::fprintf(stderr,
-                     "sealdl-check: injection accounting broken: "
-                     "%d exercised + %d skipped != %d total\n",
-                     run, skipped, total);
-        return 1;
-      }
-      std::printf("%s: %d injections exercised, %d skipped, %d total, %s\n",
-                  workload.c_str(), run, skipped, total,
-                  all_caught ? "all caught" : "SOME MISSED");
-      if (!json_path.empty()) {
-        write_json_inject_report(json_path, workload, outcomes);
-      }
-      return all_caught ? 0 : 1;
-    }
-
     if (!inject_name.empty()) {
-      const auto injection = verify::injection_from_name(inject_name);
-      if (!injection) {
-        std::fprintf(stderr, "unknown --inject %s\n", inject_name.c_str());
-        return 2;
-      }
-      return run_injection(specs, options, *injection, trace_options) ? 0 : 1;
+      return verify::run_injections(
+          verify::InjectTool::kCheck, inject_name, workload,
+          [&](verify::Injection injection) {
+            return stage_injection(specs, options, trace_options, workload,
+                                   injection);
+          },
+          json_path);
     }
 
     const verify::AnalysisInput input = verify::build_input(specs, options);
-    verify::Report report =
+    const verify::Report report =
         verify::run_checkers(input, verify::default_checkers(trace_options));
-    if (secure_audit) {
-      verify::run_secure_audit(input, verify::SecureAuditOptions{}, report);
-      std::printf("secure audit: %d scheme configuration(s) transcribed\n",
-                  input.plan ? 5 : 3);
-    }
     std::printf("%s", report.to_text().c_str());
     if (!json_path.empty()) {
-      write_json_report(json_path, workload, options, report, secure_audit);
+      write_json_report(json_path, workload, options, report);
     }
     const bool fail =
         report.error_count() > 0 || (strict && report.warning_count() > 0);

@@ -30,15 +30,18 @@
 //                             per-request lifecycle stage decomposition,
 //                             one NDJSON record per request
 //
-// --secure-audit attaches one byte-provenance taint probe per served network
-// during the profiling stage and proves the secure.* no-leakage invariants
-// over each recorded bus ledger before the server starts (docs/ANALYSIS.md,
-// "Security analysis").
+// Self-test: --inject <name|all> stages this tool's rows of the injection
+// table (verify/inject.hpp: fleet-requests|fleet-batches|fleet-stages|
+// fleet-devices) on copies of the finished fleet report and exits 0 only if
+// each fires its fleet.* rule; --json then names the injection ledger
+// instead of the run report. The bus-level audit of the profiling runs lives
+// in sealdl-sim --scheme-audit: profiling is the same jobs-invariant
+// run_network call.
 //
-// Exit codes: 0 success, 1 runtime error, 2 invalid serving configuration —
-// the config is statically validated up front (verify/serve_checkers.hpp,
-// rule family serve.options.*) and violations print with their rule ids
-// rather than asserting deep inside the scheduler.
+// Exit codes: 0 success, 1 runtime error, 2 usage error or invalid serving
+// configuration — the config is statically validated up front
+// (verify/serve_checkers.hpp, rule family serve.options.*) and violations
+// print with their rule ids rather than asserting deep inside the scheduler.
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -56,8 +59,8 @@
 #include "util/json.hpp"
 #include "util/table.hpp"
 #include "verify/fleet_checkers.hpp"
+#include "verify/inject.hpp"
 #include "verify/profile_checkers.hpp"
-#include "verify/secure_checkers.hpp"
 #include "verify/serve_checkers.hpp"
 
 using namespace sealdl;
@@ -89,6 +92,29 @@ std::vector<std::string> split_csv(const std::string& csv) {
     begin = end + 1;
   }
   return out;
+}
+
+/// Stages one fleet-* injection row on a copy of a healthy fleet report.
+verify::StagedInjection stage_injection(verify::Injection injection,
+                                        const serve::FleetOptions& options,
+                                        const serve::FleetReport& report) {
+  serve::FleetReport corrupted = report;
+  switch (injection) {
+    case verify::Injection::kFleetRequests:
+      corrupted.device_reports.front().completed += 1;
+      break;
+    case verify::Injection::kFleetBatches:
+      corrupted.device_reports.front().batches += 1;
+      break;
+    case verify::Injection::kFleetStages:
+      corrupted.totals.stage_cycles_sum =
+          corrupted.totals.stage_cycles_sum * 1.01 + 1.0;
+      break;
+    default:
+      corrupted.device_reports.front().device += 1;
+      break;
+  }
+  return {verify::run_fleet_report_check(options, corrupted), ""};
 }
 
 int run(int argc, char** argv) {
@@ -123,12 +149,9 @@ int run(int argc, char** argv) {
       flags.get_double("link-latency", 2000.0);
   fleet_options.link_bytes_per_cycle = flags.get_double("link-bpc", 16.0);
 
-  const std::string inject_fleet = flags.get("inject-fleet", "");
-  if (!inject_fleet.empty() && inject_fleet != "requests" &&
-      inject_fleet != "batches" && inject_fleet != "stages" &&
-      inject_fleet != "devices") {
-    throw std::invalid_argument("unknown --inject-fleet " + inject_fleet +
-                                " (requests|batches|stages|devices)");
+  const std::string inject = flags.get("inject", "");
+  if (!inject.empty()) {
+    (void)verify::select_injections(verify::InjectTool::kServe, inject);
   }
 
   // Static config validation: collect every violation (including an
@@ -163,19 +186,14 @@ int run(int argc, char** argv) {
   sim::GpuConfig config = sim::GpuConfig::gtx480();
   sim::apply_scheme(entry, config);
 
+  // With --inject, --json names the injection ledger, not the run report.
   const std::string json_path = flags.get("json", "");
+  const std::string report_path = inject.empty() ? json_path : "";
   const std::string trace_path = flags.get("trace", "");
-  const bool secure_audit = flags.get_bool("secure-audit", false);
-  if (secure_audit && !entry.paper) {
-    throw std::invalid_argument(
-        std::string("--secure-audit hand-encodes the five paper schemes; "
-                    "check ") +
-        entry.cli_name + " with sealdl-sim --scheme-audit instead");
-  }
   const auto sample_interval =
       static_cast<sim::Cycle>(flags.get_int("sample-interval", 0));
   std::unique_ptr<telemetry::RunTelemetry> collect;
-  if (!json_path.empty() || !trace_path.empty() || serve_options.profile) {
+  if (!report_path.empty() || !trace_path.empty() || serve_options.profile) {
     telemetry::TelemetryOptions topts;
     topts.sample_interval = sample_interval;
     collect = std::make_unique<telemetry::RunTelemetry>(topts);
@@ -195,58 +213,9 @@ int run(int argc, char** argv) {
   run_options.scope = entry.scope;
   run_options.plan.encryption_ratio = ratio;
 
-  // One audit input + taint auditor per served network: each hook records its
-  // own network's profiling run, so per-network ledgers stay jobs-invariant.
-  std::vector<std::unique_ptr<verify::AnalysisInput>> audit_inputs;
-  std::vector<std::unique_ptr<verify::TaintAuditor>> auditors;
-  std::vector<workload::BusProbeHook*> probe_hooks;
-  if (secure_audit) {
-    for (const serve::NamedNetwork& network : networks) {
-      verify::BuildOptions build;
-      build.plan = run_options.plan;
-      build.selective = entry.scope == sim::ProtectionScope::kPlanRows;
-      audit_inputs.push_back(std::make_unique<verify::AnalysisInput>(
-          verify::build_input(network.specs, build)));
-      auditors.push_back(
-          std::make_unique<verify::TaintAuditor>(audit_inputs.back().get()));
-      probe_hooks.push_back(auditors.back().get());
-    }
-  }
-
   const serve::ServiceModel model(networks, config, run_options,
-                                  serve_options.max_batch, jobs, collect.get(),
-                                  probe_hooks);
+                                  serve_options.max_batch, jobs, collect.get());
 
-  if (secure_audit) {
-    bool audit_failed = false;
-    for (int i = 0; i < model.count(); ++i) {
-      std::uint64_t counter_bytes = 0;
-      for (const workload::LayerResult& layer : model.profile(i).layers) {
-        counter_bytes += layer.stats.counter_traffic_bytes;
-      }
-      const verify::Report audit_report =
-          auditors[static_cast<std::size_t>(i)]->check(
-              config.scheme, config.selective, counter_bytes);
-      const verify::TaintLedger& ledger =
-          auditors[static_cast<std::size_t>(i)]->ledger();
-      std::printf("secure audit [%s]: %llu bus bytes over %zu lines, "
-                  "digest %016llx, %llu error(s)\n",
-                  model.name(i).c_str(),
-                  static_cast<unsigned long long>(ledger.total_bytes()),
-                  ledger.lines().size(),
-                  static_cast<unsigned long long>(ledger.digest()),
-                  static_cast<unsigned long long>(audit_report.error_count()));
-      if (audit_report.error_count() > 0) {
-        std::fputs(audit_report.to_text().c_str(), stderr);
-        audit_failed = true;
-      }
-    }
-    if (audit_failed) {
-      std::fprintf(stderr, "sealdl-serve: profiling bus traffic violates the "
-                           "secure.* invariants\n");
-      return 1;
-    }
-  }
   // NDJSON progress lines go to stdout so they can be piped while the table
   // still prints at the end.
   serve::LiveStatsSink live_sink;
@@ -259,34 +228,13 @@ int run(int argc, char** argv) {
       model, serve_options, fleet_options, config, collect.get(), live_sink);
   const serve::ServeReport& report = fleet_report.totals;
 
-  if (!inject_fleet.empty()) {
-    // Self-test: corrupt one field of a healthy fleet report, then demand
-    // the matching fleet.* rule fires (same discipline as sealdl-sim
-    // --inject-profile and sealdl-check --inject).
-    serve::FleetReport corrupted = fleet_report;
-    const char* rule = nullptr;
-    if (inject_fleet == "requests") {
-      corrupted.device_reports.front().completed += 1;
-      rule = "fleet.requests";
-    } else if (inject_fleet == "batches") {
-      corrupted.device_reports.front().batches += 1;
-      rule = "fleet.batches";
-    } else if (inject_fleet == "stages") {
-      corrupted.totals.stage_cycles_sum =
-          corrupted.totals.stage_cycles_sum * 1.01 + 1.0;
-      rule = "fleet.stages";
-    } else {
-      corrupted.device_reports.front().device += 1;
-      rule = "fleet.devices";
-    }
-    const verify::Report check =
-        verify::run_fleet_report_check(fleet_options, corrupted);
-    if (check.fired(rule)) {
-      std::printf("injected fleet violation caught (%s)\n", rule);
-      return 0;
-    }
-    std::fprintf(stderr, "MISSED injected fleet violation (%s)\n", rule);
-    return 1;
+  if (!inject.empty()) {
+    return verify::run_injections(
+        verify::InjectTool::kServe, inject, networks_csv + "/" + scheme_name,
+        [&](verify::Injection injection) {
+          return stage_injection(injection, fleet_options, fleet_report);
+        },
+        json_path);
   }
 
   // Post-run reconciliation. fleet.* proves the per-device decomposition
@@ -355,10 +303,15 @@ int run(int argc, char** argv) {
                          "busy", "util"});
     const double end = static_cast<double>(report.end_cycle);
     for (const serve::DeviceReport& dev : fleet_report.device_reports) {
+      // snprintf rather than "d" + std::to_string(...): GCC 12 raises a false
+      // -Wrestrict on operator+(const char*, std::string&&) once inlined here.
+      char device[16];
+      char pipe_stage[32];
+      std::snprintf(device, sizeof device, "d%d", dev.device);
+      std::snprintf(pipe_stage, sizeof pipe_stage, "p%d/s%d", dev.pipeline,
+                    dev.stage);
       devices.add_row(
-          {"d" + std::to_string(dev.device),
-           "p" + std::to_string(dev.pipeline) + "/s" +
-               std::to_string(dev.stage),
+          {device, pipe_stage,
            std::to_string(dev.routed), std::to_string(dev.completed),
            std::to_string(dev.dropped), std::to_string(dev.shed),
            std::to_string(dev.batches), std::to_string(dev.stage_runs),
@@ -377,9 +330,9 @@ int run(int argc, char** argv) {
     info.seed = serve_options.seed;
     info.provenance =
         telemetry::make_provenance(config, jobs, {scheme_name});
-    if (!json_path.empty()) {
+    if (!report_path.empty()) {
       telemetry::write_text_file(
-          json_path, telemetry::run_report_json(info, config, *collect));
+          report_path, telemetry::run_report_json(info, config, *collect));
     }
     if (!trace_path.empty()) {
       telemetry::write_text_file(
@@ -416,6 +369,9 @@ int run(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     return run(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "sealdl-serve: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "sealdl-serve: %s\n", e.what());
     return 1;

@@ -29,27 +29,25 @@
 //   --profile                 cycle-attribution profiler ("profile" report key)
 //   --profile-folded out.txt  collapsed-stack flamegraph export
 //
-// Security audit (network workloads only):
-//   --secure-audit            attach a byte-provenance taint probe to the bus,
-//                             then prove the secure.* no-leakage invariants
-//                             over the recorded ledger (docs/ANALYSIS.md);
-//                             hand-encodes the five paper schemes only
-//   --secure-audit-json p     write the ledger + findings (implies the audit);
+// Scheme audit (network workloads only):
+//   --scheme-audit            attach a byte-provenance taint probe to the bus,
+//                             then prove the run against the scheme's own
+//                             declared SchemeContract (scheme.* rules,
+//                             docs/ANALYSIS.md) and run the known-plaintext
+//                             scheme.oracle transcript — for every registered
+//                             scheme, paper and rival alike
+//   --scheme-audit-json p     write the ledger + findings (implies the audit);
 //                             byte-identical across --jobs values
-//   --scheme-audit            prove the run against the scheme's own declared
-//                             SchemeContract via the generic scheme.* rule
-//                             family — works for every registered scheme,
-//                             including the rivals the secure.* family does
-//                             not know about
-//   --inject-scheme <n|all>   seed a scheme-contract violation and exit 0
-//                             only if the matching scheme.* rule fires
-//                             (self-test; implies --scheme-audit evidence)
-//   --inject-scheme-json p    machine-readable ledger for --inject-scheme all
 //
-// Every profiled run is checked against the profile.* rule family; the
-// hidden --inject-profile <conservation|total> flag seeds a violation and
-// exits 0 only if the checker catches it (self-test, same discipline as
-// sealdl-check --inject).
+// Every profiled run is checked against the profile.* rule family.
+//
+// Self-test: --inject <name|all> (network workloads; implies --scheme-audit
+// and --profile) stages this tool's rows of the injection table
+// (verify/inject.hpp: scheme-* and profile-*) over the clean run and exits 0
+// only if each fires its rules; --json then names the injection ledger
+// instead of the run report.
+//
+// Exit codes: 0 success, 1 findings or runtime error, 2 usage error.
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -68,9 +66,9 @@
 #include "util/cli.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
+#include "verify/inject.hpp"
 #include "verify/profile_checkers.hpp"
 #include "verify/scheme_checkers.hpp"
-#include "verify/secure_checkers.hpp"
 #include "workload/gemm_trace.hpp"
 #include "workload/network_runner.hpp"
 
@@ -121,6 +119,42 @@ void print_stats(const sim::SimStats& stats, double scale,
   table.print();
 }
 
+/// Stages one of this tool's injection rows over a clean run: scheme rows
+/// corrupt copies of the audit evidence, profile rows a copy of the cycle
+/// profile.
+verify::StagedInjection stage_injection(verify::Injection injection,
+                                        const sim::SchemeInfo& entry,
+                                        const verify::SchemeRunEvidence& evidence,
+                                        const telemetry::CycleProfile& profile) {
+  switch (injection) {
+    case verify::Injection::kProfileConservation:
+    case verify::Injection::kProfileTotal: {
+      telemetry::CycleProfile corrupted = profile;
+      if (corrupted.empty() || corrupted.layers.front().components.empty()) {
+        return {verify::Report(), "no profile data to corrupt"};
+      }
+      telemetry::ComponentProfile& victim =
+          corrupted.layers.front().components.front();
+      victim.buckets[0] += 1;  // breaks conservation (sum != total)
+      if (injection == verify::Injection::kProfileTotal) {
+        victim.total_cycles += 1;  // restores conservation, breaks total
+      }
+      return {verify::run_profile_check(corrupted), ""};
+    }
+    case verify::Injection::kSchemeWire:
+    case verify::Injection::kSchemeBoundary:
+      // Baseline's wire policy has no must-cipher side, so there is no line
+      // whose corruption these rules could object to.
+      if (entry.scope == sim::ProtectionScope::kNone) {
+        return {verify::Report(), "no must-cipher lines under scope none"};
+      }
+      break;
+    default:
+      break;
+  }
+  return {verify::run_scheme_injection(injection, entry, evidence), ""};
+}
+
 int run(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   const std::string workload = flags.get("workload", "vgg16");
@@ -146,46 +180,24 @@ int run(int argc, char** argv) {
   const auto max_samples =
       static_cast<std::size_t>(flags.get_int("max-samples", 0));
   const std::string folded_path = flags.get("profile-folded", "");
-  const std::string inject_profile = flags.get("inject-profile", "");
-  if (!inject_profile.empty() && inject_profile != "conservation" &&
-      inject_profile != "total") {
-    throw std::invalid_argument("unknown --inject-profile " + inject_profile +
-                                " (conservation|total)");
+  const std::string inject = flags.get("inject", "");
+  if (!inject.empty()) {
+    (void)verify::select_injections(verify::InjectTool::kSim, inject);
   }
   const bool profile = flags.get_bool("profile", false) ||
-                       !folded_path.empty() || !inject_profile.empty();
-  const std::string secure_audit_json = flags.get("secure-audit-json", "");
-  const bool secure_audit =
-      flags.get_bool("secure-audit", false) || !secure_audit_json.empty();
-  const std::string inject_scheme = flags.get("inject-scheme", "");
-  const std::string inject_scheme_json = flags.get("inject-scheme-json", "");
+                       !folded_path.empty() || !inject.empty();
+  const std::string scheme_audit_json = flags.get("scheme-audit-json", "");
   const bool scheme_audit = flags.get_bool("scheme-audit", false) ||
-                            !inject_scheme.empty() ||
-                            !inject_scheme_json.empty();
-  if (!inject_scheme.empty() && inject_scheme != "all" &&
-      !verify::scheme_injection_from_name(inject_scheme)) {
-    std::string names = "all";
-    for (const verify::SchemeInjection injection :
-         verify::all_scheme_injections()) {
-      names += '|';
-      names += verify::scheme_injection_name(injection);
-    }
-    throw std::invalid_argument("unknown --inject-scheme " + inject_scheme +
-                                " (" + names + ")");
-  }
-  if ((secure_audit || scheme_audit) && workload != "vgg16" &&
-      workload != "resnet18" && workload != "resnet34") {
+                            !scheme_audit_json.empty() || !inject.empty();
+  if (scheme_audit && workload != "vgg16" && workload != "resnet18" &&
+      workload != "resnet34") {
     throw std::invalid_argument(
-        "--secure-audit/--scheme-audit need a network workload "
+        "--scheme-audit/--inject need a network workload "
         "(vgg16|resnet18|resnet34): the taint probe classifies addresses "
         "against the network layout");
   }
-  if (secure_audit && !entry.paper) {
-    throw std::invalid_argument(
-        std::string("--secure-audit hand-encodes the five paper schemes; "
-                    "use --scheme-audit to check ") +
-        entry.cli_name + " against its own contract");
-  }
+  // With --inject, --json names the injection ledger, not the run report.
+  const std::string report_path = inject.empty() ? json_path : "";
   std::unique_ptr<telemetry::RunTelemetry> collect;
   if (!json_path.empty() || !trace_path.empty() || profile) {
     telemetry::TelemetryOptions topts;
@@ -214,6 +226,12 @@ int run(int argc, char** argv) {
   // Naive per-cycle run loop for differential testing of the event-skipping
   // fast path (identical results, much slower).
   options.fast_path = !flags.get_bool("no-fast-path", false);
+  // The audit input reproduces the runner's layout bit-identically, which
+  // is what lets the probe classify live bus addresses from outside.
+  std::optional<verify::AnalysisInput> audit_input;
+  std::optional<verify::TaintAuditor> auditor;
+  verify::SchemeRunEvidence evidence;
+
   const bool single_layer =
       workload == "conv" || workload == "pool" || workload == "fc";
   if (single_layer) {
@@ -297,11 +315,7 @@ int run(int argc, char** argv) {
                        : workload == "resnet34"
                            ? models::resnet34_specs(input)
                            : throw std::invalid_argument("unknown --workload " + workload);
-    // The audit input reproduces the runner's layout bit-identically, which
-    // is what lets the probe classify live bus addresses from outside.
-    std::optional<verify::AnalysisInput> audit_input;
-    std::optional<verify::TaintAuditor> auditor;
-    if (secure_audit || scheme_audit) {
+    if (scheme_audit) {
       verify::BuildOptions build;
       build.plan = options.plan;
       // Only plan-row schemes carry an encryption plan; weights-only and
@@ -323,25 +337,28 @@ int run(int argc, char** argv) {
     per_layer.print();
     std::printf("\noverall IPC %.1f, latency %.2f ms @700MHz\n",
                 result.overall_ipc(), result.total_cycles() / 700e3);
-    if (auditor && secure_audit) {
-      std::uint64_t counter_bytes = 0;
+    if (scheme_audit) {
       for (const auto& layer : result.layers) {
-        counter_bytes += layer.stats.counter_traffic_bytes;
+        evidence.stats.merge_from(layer.stats);
       }
-      const verify::Report audit_report =
-          auditor->check(config.scheme, config.selective, counter_bytes);
+      evidence.input = &*audit_input;
+      evidence.ledger = &auditor->ledger();
+      evidence.config = config;
+      verify::Report audit_report =
+          verify::run_scheme_conformance(entry, evidence);
+      verify::check_scheme_oracle(entry, *audit_input, audit_report);
       const verify::TaintLedger& ledger = auditor->ledger();
-      std::printf("secure audit: %llu bus bytes over %zu lines, digest %016llx\n",
+      std::printf("scheme audit: %llu bus bytes over %zu lines, digest %016llx\n",
                   static_cast<unsigned long long>(ledger.total_bytes()),
                   ledger.lines().size(),
                   static_cast<unsigned long long>(ledger.digest()));
-      if (!secure_audit_json.empty()) {
+      if (!scheme_audit_json.empty()) {
         util::JsonWriter json;
         json.begin_object();
         json.field("tool", "sealdl-sim");
         json.field("schema_version", 1);
         json.field("workload", workload);
-        json.field("scheme", flags.get("scheme", "baseline"));
+        json.field("scheme", info.scheme);
         json.field("selective", config.selective);
         json.field("encryption_ratio", ratio);
         json.key("ledger");
@@ -349,140 +366,18 @@ int run(int argc, char** argv) {
         json.key("report");
         audit_report.write_json(json);
         json.end_object();
-        telemetry::write_text_file(secure_audit_json, json.str());
-        std::printf("wrote secure-audit ledger to %s\n",
-                    secure_audit_json.c_str());
+        telemetry::write_text_file(scheme_audit_json, json.str());
+        std::printf("wrote scheme-audit ledger to %s\n",
+                    scheme_audit_json.c_str());
       }
       if (audit_report.error_count() > 0) {
         std::fputs(audit_report.to_text().c_str(), stderr);
-        std::fprintf(stderr,
-                     "sealdl-sim: bus traffic violates the secure.* "
-                     "invariants\n");
-        return 1;
-      }
-    }
-    if (scheme_audit) {
-      sim::SimStats total;
-      for (const auto& layer : result.layers) total.merge_from(layer.stats);
-      verify::SchemeRunEvidence evidence;
-      evidence.input = &*audit_input;
-      evidence.ledger = &auditor->ledger();
-      evidence.stats = total;
-      evidence.config = config;
-      const verify::Report scheme_report =
-          verify::run_scheme_conformance(entry, evidence);
-      if (scheme_report.error_count() > 0) {
-        std::fputs(scheme_report.to_text().c_str(), stderr);
         std::fprintf(stderr, "sealdl-sim: run violates %s's scheme contract\n",
                      entry.display);
         return 1;
       }
       std::printf("scheme audit: %s conforms to its contract (scope %s)\n",
                   entry.display, sim::protection_scope_name(entry.scope));
-      if (!inject_scheme.empty()) {
-        // Self-test over the clean evidence: seed each requested violation
-        // and demand the matching scheme.* rule fires, with the same
-        // exercised + skipped == total accounting the --inject ledger uses.
-        struct Outcome {
-          std::string name;
-          std::string status;  ///< "caught", "missed" or "skipped"
-          std::string reason;
-          std::uint64_t errors = 0;
-          std::uint64_t warnings = 0;
-        };
-        std::vector<verify::SchemeInjection> selected;
-        if (inject_scheme == "all") {
-          selected = verify::all_scheme_injections();
-        } else {
-          selected = {*verify::scheme_injection_from_name(inject_scheme)};
-        }
-        std::vector<Outcome> outcomes;
-        bool all_caught = true;
-        for (const verify::SchemeInjection injection : selected) {
-          Outcome outcome;
-          outcome.name = verify::scheme_injection_name(injection);
-          const bool needs_cipher =
-              injection == verify::SchemeInjection::kWire ||
-              injection == verify::SchemeInjection::kBoundary;
-          if (needs_cipher && entry.scope == sim::ProtectionScope::kNone) {
-            // Baseline's wire policy has no must-cipher side, so there is no
-            // line whose corruption these rules could object to.
-            outcome.status = "skipped";
-            outcome.reason = "no must-cipher lines under scope none";
-            std::printf("skip    %-18s (%s)\n", outcome.name.c_str(),
-                        outcome.reason.c_str());
-            outcomes.push_back(std::move(outcome));
-            continue;
-          }
-          const verify::Report report =
-              verify::run_scheme_injection(injection, entry, evidence);
-          bool caught = true;
-          for (const std::string& rule :
-               verify::scheme_injection_expected_rules(injection)) {
-            if (!report.fired(rule)) {
-              std::printf("MISSED  %-18s rule %s did not fire\n",
-                          outcome.name.c_str(), rule.c_str());
-              caught = false;
-            }
-          }
-          if (caught) {
-            std::printf("caught  %-18s (%llu errors, %llu warnings)\n",
-                        outcome.name.c_str(),
-                        static_cast<unsigned long long>(report.error_count()),
-                        static_cast<unsigned long long>(report.warning_count()));
-          }
-          outcome.status = caught ? "caught" : "missed";
-          outcome.errors = report.error_count();
-          outcome.warnings = report.warning_count();
-          outcomes.push_back(std::move(outcome));
-          all_caught &= caught;
-        }
-        std::uint64_t exercised = 0, skipped = 0, missed = 0;
-        for (const Outcome& outcome : outcomes) {
-          if (outcome.status == "skipped") {
-            ++skipped;
-          } else {
-            ++exercised;
-            if (outcome.status == "missed") ++missed;
-          }
-        }
-        std::printf("%s/%s: %llu scheme injections exercised, %llu skipped, "
-                    "%zu total, %s\n",
-                    workload.c_str(), entry.cli_name,
-                    static_cast<unsigned long long>(exercised),
-                    static_cast<unsigned long long>(skipped), outcomes.size(),
-                    all_caught ? "all caught" : "SOME MISSED");
-        if (!inject_scheme_json.empty()) {
-          util::JsonWriter json;
-          json.begin_object();
-          json.field("tool", "sealdl-sim");
-          json.field("schema_version", 1);
-          json.field("mode", "inject-scheme");
-          json.field("workload", workload);
-          json.field("scheme", entry.cli_name);
-          json.field("total", static_cast<std::uint64_t>(outcomes.size()));
-          json.field("exercised", exercised);
-          json.field("skipped", skipped);
-          json.field("missed", missed);
-          json.key("injections");
-          json.begin_array();
-          for (const Outcome& outcome : outcomes) {
-            json.begin_object();
-            json.field("name", outcome.name);
-            json.field("status", outcome.status);
-            if (!outcome.reason.empty()) json.field("reason", outcome.reason);
-            if (outcome.status != "skipped") {
-              json.field("errors", outcome.errors);
-              json.field("warnings", outcome.warnings);
-            }
-            json.end_object();
-          }
-          json.end_array();
-          json.end_object();
-          telemetry::write_text_file(inject_scheme_json, json.str());
-        }
-        return all_caught ? 0 : 1;
-      }
     }
   }
 
@@ -494,29 +389,6 @@ int run(int argc, char** argv) {
                                                  {flags.get("scheme", "baseline")});
     info.provenance.fast_path = options.fast_path;
     if (collect->profiling()) {
-      if (!inject_profile.empty()) {
-        // Self-test: corrupt one bucket, then demand the matching rule fires.
-        telemetry::CycleProfile& profile = collect->profile();
-        if (profile.empty() || profile.layers.front().components.empty()) {
-          std::fprintf(stderr, "--inject-profile: no profile data to corrupt\n");
-          return 1;
-        }
-        telemetry::ComponentProfile& victim =
-            profile.layers.front().components.front();
-        victim.buckets[0] += 1;  // breaks conservation (sum != total)
-        const char* rule = "profile.conservation";
-        if (inject_profile == "total") {
-          victim.total_cycles += 1;  // restores conservation, breaks total
-          rule = "profile.total";
-        }
-        const verify::Report check = verify::run_profile_check(profile);
-        if (check.fired(rule)) {
-          std::printf("injected profile violation caught (%s)\n", rule);
-          return 0;
-        }
-        std::fprintf(stderr, "MISSED injected profile violation (%s)\n", rule);
-        return 1;
-      }
       const verify::Report check =
           verify::run_profile_check(collect->profile());
       if (check.error_count() > 0) {
@@ -526,10 +398,10 @@ int run(int argc, char** argv) {
         return 1;
       }
     }
-    if (!json_path.empty()) {
+    if (!report_path.empty()) {
       telemetry::write_text_file(
-          json_path, telemetry::run_report_json(info, config, *collect));
-      std::printf("\nwrote JSON run report to %s\n", json_path.c_str());
+          report_path, telemetry::run_report_json(info, config, *collect));
+      std::printf("\nwrote JSON run report to %s\n", report_path.c_str());
     }
     if (!trace_path.empty()) {
       telemetry::write_text_file(
@@ -550,6 +422,16 @@ int run(int argc, char** argv) {
   for (const auto& unused : flags.unused()) {
     std::fprintf(stderr, "warning: unused flag --%s\n", unused.c_str());
   }
+  if (!inject.empty()) {
+    return verify::run_injections(
+        verify::InjectTool::kSim, inject,
+        workload + "/" + entry.cli_name,
+        [&](verify::Injection injection) {
+          return stage_injection(injection, entry, evidence,
+                                 collect->profile());
+        },
+        json_path);
+  }
   return 0;
 }
 
@@ -558,6 +440,9 @@ int run(int argc, char** argv) {
 int main(int argc, char** argv) {
   try {
     return run(argc, argv);
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 2;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;
