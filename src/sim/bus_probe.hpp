@@ -30,6 +30,11 @@ class BusProbe {
     (void)is_write;
     (void)encrypted;
   }
+
+  /// Called once after the last transfer of the run the probe watched, on
+  /// the thread that ran it. A recording probe finalizes its private state
+  /// here so whoever collects it later has less to do. Default no-op.
+  virtual void on_finish() {}
 };
 
 }  // namespace sealdl::sim

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <optional>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string_view>
 
@@ -418,20 +419,21 @@ void check_scheme_boundary(const sim::SchemeInfo& entry,
                            const SchemeRunEvidence& evidence, Report& report) {
   const AnalysisInput& input = *evidence.input;
   const sim::ProtectionScope scope = entry.model->contract().scope;
-  const auto wp = static_cast<std::size_t>(TaintClass::kWeightPlain);
-  const auto wc = static_cast<std::size_t>(TaintClass::kWeightCipher);
-  const auto& lines = evidence.ledger->lines();
+  const std::span<const TaintCell> cells = evidence.ledger->cells();
   for (const Region& region : input.regions) {
     if (region.kind != Region::Kind::kWeights || region.units <= 0) continue;
     std::vector<std::uint8_t> seen_plain(static_cast<std::size_t>(region.units), 0);
     std::vector<std::uint8_t> seen_cipher(static_cast<std::size_t>(region.units), 0);
-    for (auto it = lines.lower_bound(region.begin);
-         it != lines.end() && it->first < region.end; ++it) {
+    for (auto it = std::lower_bound(cells.begin(), cells.end(), region.begin,
+                                    [](const TaintCell& cell, sim::Addr addr) {
+                                      return cell.line < addr;
+                                    });
+         it != cells.end() && it->line < region.end; ++it) {
       const auto row =
-          static_cast<std::size_t>((it->first - region.begin) / region.pitch);
-      if (row >= seen_plain.size()) continue;
-      if (it->second.read[wp] + it->second.write[wp] > 0) seen_plain[row] = 1;
-      if (it->second.read[wc] + it->second.write[wc] > 0) seen_cipher[row] = 1;
+          static_cast<std::size_t>((it->line - region.begin) / region.pitch);
+      if (row >= seen_plain.size() || it->bytes == 0) continue;
+      if (it->cls == TaintClass::kWeightPlain) seen_plain[row] = 1;
+      if (it->cls == TaintClass::kWeightCipher) seen_cipher[row] = 1;
     }
     for (int r = 0; r < region.units; ++r) {
       const auto ri = static_cast<std::size_t>(r);
@@ -612,6 +614,7 @@ Report run_scheme_injection(Injection injection,
           break;
         }
       }
+      corrupted.seal();
       SchemeRunEvidence doctored = evidence;
       doctored.ledger = &corrupted;
       check_scheme_wire(entry, doctored, report);
@@ -644,6 +647,7 @@ Report run_scheme_injection(Injection injection,
             TaintClass::kWeightPlain);
         break;
       }
+      corrupted.seal();
       SchemeRunEvidence doctored = evidence;
       doctored.ledger = &corrupted;
       check_scheme_boundary(entry, doctored, report);

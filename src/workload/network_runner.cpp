@@ -79,6 +79,7 @@ LayerOutcome simulate_layer(const core::LayerAddressing& layer,
     simulator.set_profiler(&*profiler);
   }
   simulator.run();
+  if (probe) probe->on_finish();
 
   LayerOutcome outcome;
   outcome.result.name = layer.spec.name;

@@ -24,7 +24,8 @@ namespace sealdl::workload {
 /// Observer factory for a run's raw bus traffic. The runner calls
 /// make_probe() once per simulated layer and attaches the returned probe to
 /// that layer's private simulator, so the probe is only ever touched by the
-/// thread running the layer; merge_probe() then hands it back strictly in
+/// thread running the layer, which also calls its BusProbe::on_finish() after
+/// the last transfer; merge_probe() then hands it back strictly in
 /// spec order from the submitting thread. An implementation therefore needs
 /// no synchronization, and any per-line accumulation it performs is
 /// bitwise-identical regardless of --jobs — the same task-private +

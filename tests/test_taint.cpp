@@ -5,6 +5,13 @@
 
 #include <array>
 #include <cstdint>
+#include <iterator>
+#include <map>
+#include <memory>
+#include <random>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "crypto/modes.hpp"
@@ -38,9 +45,12 @@ TEST(TaintLedger, RecordsPerLinePerDirection) {
   ledger.record(0x1000, 128, false, TaintClass::kWeightCipher);
   ledger.record(0x1000, 64, true, TaintClass::kWeightPlain);
   ledger.record(0x2000, 128, true, TaintClass::kCounterMeta);
+  ledger.seal();
 
   ASSERT_EQ(ledger.lines().size(), 2u);
-  const TaintCounts& line = ledger.lines().at(0x1000);
+  ASSERT_EQ(ledger.cells().size(), 3u);
+  const auto [addr, line] = *ledger.lines().begin();
+  EXPECT_EQ(addr, 0x1000u);
   EXPECT_EQ(line.read[static_cast<int>(TaintClass::kWeightCipher)], 256u);
   EXPECT_EQ(line.write[static_cast<int>(TaintClass::kWeightPlain)], 64u);
   EXPECT_EQ(ledger.class_bytes(TaintClass::kCounterMeta), 128u);
@@ -55,6 +65,7 @@ TEST(TaintLedger, MergePreservesTotalsAndDigest) {
   whole.record(0x1000, 128, false, TaintClass::kFmapPlain);
   whole.record(0x1000, 128, false, TaintClass::kFmapPlain);
   whole.record(0x3000, 128, true, TaintClass::kFmapCipher);
+  whole.seal();
 
   a.merge_from(b);
   EXPECT_EQ(a.total_bytes(), whole.total_bytes());
@@ -66,8 +77,100 @@ TEST(TaintLedger, DigestDiscriminatesClassAndDirection) {
   a.record(0x1000, 128, false, TaintClass::kWeightPlain);
   b.record(0x1000, 128, false, TaintClass::kWeightCipher);
   c.record(0x1000, 128, true, TaintClass::kWeightPlain);
+  a.seal();
+  b.seal();
+  c.seal();
   EXPECT_NE(a.digest(), b.digest());
   EXPECT_NE(a.digest(), c.digest());
+}
+
+TEST(TaintLedger, ReadingOpenCellsThrowsAndSealIsIdempotent) {
+  TaintLedger ledger;
+  ledger.record(0x1000, 128, false, TaintClass::kFmapPlain);
+  EXPECT_FALSE(ledger.sealed());
+  EXPECT_THROW((void)ledger.lines(), std::logic_error);
+  EXPECT_THROW((void)ledger.digest(), std::logic_error);
+  EXPECT_EQ(ledger.total_bytes(), 128u);  // totals are kept while open
+
+  ledger.seal();
+  const std::uint64_t digest = ledger.digest();
+  ledger.seal();
+  EXPECT_EQ(ledger.digest(), digest);
+
+  // Recording after a seal reopens the ledger; the next seal folds it in.
+  ledger.record(0x1000, 128, false, TaintClass::kFmapPlain);
+  EXPECT_THROW((void)ledger.cells(), std::logic_error);
+  ledger.seal();
+  ASSERT_EQ(ledger.cells().size(), 1u);
+  EXPECT_EQ(ledger.cells().front().bytes, 256u);
+}
+
+/// One recorded transfer of a randomized stream.
+struct Transfer {
+  sim::Addr line;
+  std::uint32_t bytes;
+  bool is_write;
+  TaintClass cls;
+};
+
+/// Seeded stream over few enough lines that most are hit repeatedly, in both
+/// directions and several classes, so the open table grows and collides.
+std::vector<Transfer> random_transfers(std::uint64_t seed, std::size_t count) {
+  std::mt19937_64 rng(seed);
+  std::vector<Transfer> out;
+  out.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    out.push_back({(rng() % 5000) * kLine, static_cast<std::uint32_t>(rng() % 129),
+                   rng() % 2 == 0,
+                   static_cast<TaintClass>(rng() % kTaintClassCount)});
+  }
+  return out;
+}
+
+TEST(TaintLedger, SplitSealAndMergeMatchesSortedMapReference) {
+  const std::vector<Transfer> stream = random_transfers(7, 40000);
+  std::map<sim::Addr, TaintCounts> reference;
+  for (const Transfer& t : stream) {
+    auto& counts = t.is_write ? reference[t.line].write : reference[t.line].read;
+    counts[static_cast<std::size_t>(t.cls)] += t.bytes;
+  }
+
+  // Uneven parts, each sealed on its own, folded in order.
+  TaintLedger merged;
+  std::size_t begin = 0;
+  for (const std::size_t end : {std::size_t{1}, std::size_t{900},
+                                std::size_t{17000}, stream.size()}) {
+    TaintLedger part;
+    for (std::size_t i = begin; i < end; ++i) {
+      const Transfer& t = stream[i];
+      part.record(t.line, t.bytes, t.is_write, t.cls);
+    }
+    part.seal();
+    merged.merge_from(std::move(part));
+    begin = end;
+  }
+
+  ASSERT_EQ(merged.lines().size(), reference.size());
+  auto expected = reference.begin();
+  for (const auto& [addr, counts] : merged.lines()) {
+    EXPECT_EQ(addr, expected->first);
+    EXPECT_EQ(counts.read, expected->second.read);
+    EXPECT_EQ(counts.write, expected->second.write);
+    ++expected;
+  }
+  for (std::size_t i = 1; i < merged.cells().size(); ++i) {
+    const TaintCell& a = merged.cells()[i - 1];
+    const TaintCell& b = merged.cells()[i];
+    EXPECT_TRUE(a.line < b.line ||
+                (a.line == b.line && std::pair(a.is_write, a.cls) <
+                                         std::pair(b.is_write, b.cls)));
+  }
+
+  TaintLedger whole;
+  for (const Transfer& t : stream) whole.record(t.line, t.bytes, t.is_write, t.cls);
+  whole.seal();
+  EXPECT_EQ(merged.digest(), whole.digest());
+  EXPECT_EQ(merged.total_bytes(), whole.total_bytes());
 }
 
 // ---------------------------------------- SecureMap provenance edge cases ---
@@ -125,7 +228,8 @@ TEST(SecureMapProvenance, SecureBytesInAtLineBoundaries) {
 
 workload::NetworkResult timed_run(const AnalysisInput& input,
                                   const sim::SchemeInfo& scheme, int jobs,
-                                  TaintAuditor& auditor) {
+                                  TaintAuditor& auditor,
+                                  std::uint64_t chunk_tiles = 0) {
   sim::GpuConfig config = sim::GpuConfig::gtx480();
   sim::apply_scheme(scheme, config);
   workload::RunOptions options;
@@ -134,11 +238,12 @@ workload::NetworkResult timed_run(const AnalysisInput& input,
   options.scope = scheme.scope;
   options.plan = input.plan_options;
   options.jobs = jobs;
+  options.chunk_tiles = chunk_tiles;
   options.probe_hook = &auditor;
   return workload::run_network(input.specs, config, options);
 }
 
-Report conformance(const sim::SchemeInfo& scheme, const TaintAuditor& auditor,
+Report conformance(const sim::SchemeInfo& scheme, TaintAuditor& auditor,
                    const workload::NetworkResult& result) {
   SchemeRunEvidence evidence;
   evidence.input = &auditor.input();
@@ -152,17 +257,51 @@ Report conformance(const sim::SchemeInfo& scheme, const TaintAuditor& auditor,
 TEST(TaintAuditor, TimingLedgerJobsInvariantAndClean) {
   const sim::SchemeInfo& seal_c = *sim::find_scheme("seal-c");
   const AnalysisInput input = small_input();
-  TaintAuditor serial(&input);
-  TaintAuditor threaded(&input);
-  const auto result = timed_run(input, seal_c, 1, serial);
-  timed_run(input, seal_c, 4, threaded);
+  // Chunk waves hand back several probes per layer, of uneven sizes.
+  for (const std::uint64_t chunk_tiles : {0u, 3u}) {
+    SCOPED_TRACE("chunk_tiles " + std::to_string(chunk_tiles));
+    TaintAuditor serial(&input);
+    TaintAuditor threaded(&input);
+    const auto result = timed_run(input, seal_c, 1, serial, chunk_tiles);
+    timed_run(input, seal_c, 4, threaded, chunk_tiles);
 
-  EXPECT_GT(serial.ledger().total_bytes(), 0u);
-  EXPECT_EQ(serial.ledger().digest(), threaded.ledger().digest());
-  EXPECT_EQ(serial.ledger().lines().size(), threaded.ledger().lines().size());
+    EXPECT_GT(serial.ledger().total_bytes(), 0u);
+    EXPECT_EQ(serial.ledger().digest(), threaded.ledger().digest());
+    EXPECT_EQ(serial.ledger().lines().size(), threaded.ledger().lines().size());
 
-  const Report report = conformance(seal_c, serial, result);
-  EXPECT_EQ(report.error_count(), 0u) << report.to_text();
+    const Report report = conformance(seal_c, serial, result);
+    EXPECT_EQ(report.error_count(), 0u) << report.to_text();
+  }
+}
+
+TEST(TaintAuditor, FoldEqualsOneLedgerWhateverTheHandBackOrder) {
+  // Layer probes of very different sizes, some sealed by on_finish() (as the
+  // runner does on the worker) and some not (as behind a wrapping probe that
+  // does not forward it), with a ledger() read in the middle of the run.
+  const AnalysisInput input = small_input();
+  TaintLedger reference;
+  TaintProbe reference_probe(&input, &reference);
+  TaintAuditor auditor(&input);
+  const std::size_t sizes[] = {3000, 10, 10, 700, 0, 5000, 1, 40, 2000};
+  for (std::size_t layer = 0; layer < std::size(sizes); ++layer) {
+    std::unique_ptr<sim::BusProbe> probe = auditor.make_probe(layer);
+    for (const Transfer& t : random_transfers(layer, sizes[layer])) {
+      const bool encrypted = t.is_write;
+      probe->on_transfer(t.line, t.bytes, t.is_write, encrypted);
+      reference_probe.on_transfer(t.line, t.bytes, t.is_write, encrypted);
+    }
+    if (layer % 3 != 1) probe->on_finish();
+    auditor.merge_probe(std::move(probe), layer);
+    if (layer == 4) {
+      EXPECT_GT(auditor.ledger().total_bytes(), 0u);
+    }
+  }
+  reference.seal();
+  const TaintLedger& folded = auditor.ledger();
+  EXPECT_EQ(folded.digest(), reference.digest());
+  EXPECT_EQ(folded.lines().size(), reference.lines().size());
+  EXPECT_EQ(folded.cells().size(), reference.cells().size());
+  EXPECT_EQ(folded.total_bytes(), reference.total_bytes());
 }
 
 TEST(TaintAuditor, BaselineTimingRunShowsFullVisibility) {
