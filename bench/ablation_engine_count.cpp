@@ -36,7 +36,7 @@ int main_impl(int argc, char** argv) {
   const auto engine = crypto::default_engine();
   for (int engines = 1; engines <= 6; ++engines) {
     sim::GpuConfig config = sim::GpuConfig::gtx480();
-    config.scheme = sim::EncryptionScheme::kDirect;
+    config.scheme = &sim::resolve_scheme("direct");
     config.engines_per_controller = engines;
     const auto result = workload::run_network(specs, config, options);
     table.add_row({std::to_string(engines),
@@ -48,10 +48,8 @@ int main_impl(int argc, char** argv) {
 
   // SEAL reference row at the 1-engine budget.
   sim::GpuConfig config = sim::GpuConfig::gtx480();
-  config.scheme = sim::EncryptionScheme::kDirect;
-  config.selective = true;
+  config.scheme = &sim::resolve_scheme("seal-d");
   workload::RunOptions seal = options;
-  seal.selective = true;
   seal.plan = bench::default_plan();
   const auto result = workload::run_network(specs, config, seal);
   table.add_row({"SEAL-D (1)", util::Table::fmt(engine.area_mm2 * config.num_channels, 1),

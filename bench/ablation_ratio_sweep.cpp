@@ -39,10 +39,8 @@ int main_impl(int argc, char** argv) {
   util::Table table({"ratio", "IPC", "IPC/baseline", "encrypted traffic"});
   for (double ratio : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0}) {
     sim::GpuConfig config = sim::GpuConfig::gtx480();
-    config.scheme = sim::EncryptionScheme::kDirect;
-    config.selective = true;
+    config.scheme = &sim::resolve_scheme("seal-d");
     workload::RunOptions seal = options;
-    seal.selective = true;
     seal.plan = bench::default_plan();
     seal.plan.encryption_ratio = ratio;
     const auto result = workload::run_network(specs, config, seal);

@@ -27,17 +27,15 @@ namespace sealdl::bench {
 /// same table the CLIs resolve --scheme against.
 struct SchemeConfig {
   std::string name;
-  sim::EncryptionScheme scheme;
-  bool selective;  ///< SEAL schemes encrypt only plan-marked ranges
-  const sim::SchemeInfo* info = nullptr;  ///< registry entry; null only for
-                                          ///< hand-built ablation rows
+  sim::EncryptionScheme scheme;  ///< info->family (the standalone benchmark reads it)
+  const sim::SchemeInfo* info;   ///< registry entry, never null
 };
 
 inline std::vector<SchemeConfig> schemes_from_registry(bool include_rivals) {
   std::vector<SchemeConfig> out;
   for (const sim::SchemeInfo& info : sim::scheme_registry()) {
     if (!include_rivals && !info.paper) continue;
-    out.push_back({info.display, info.family, info.selective(), &info});
+    out.push_back({info.display, info.family, &info});
   }
   return out;
 }
@@ -55,23 +53,14 @@ inline std::vector<SchemeConfig> all_schemes() {
 /// Applies one scheme to a GTX480 config.
 inline sim::GpuConfig configure(const SchemeConfig& scheme) {
   sim::GpuConfig config = sim::GpuConfig::gtx480();
-  if (scheme.info != nullptr) {
-    sim::apply_scheme(*scheme.info, config);
-  } else {
-    config.scheme = scheme.scheme;
-    config.selective = scheme.selective;
-  }
+  config.scheme = scheme.info;
   return config;
 }
 
-/// Sets the run options a scheme needs: legacy selectivity plus the explicit
-/// protection scope (which is what makes GuardNN's weights-only boundary take
-/// effect in the runner).
-inline void apply_scheme_options(const SchemeConfig& scheme,
-                                 workload::RunOptions& options) {
-  options.selective = scheme.selective;
-  if (scheme.info != nullptr) options.scope = scheme.info->scope;
-}
+/// No-op, kept because the standalone benchmark still calls it: the runner
+/// reads the scheme's scope from the config's registry entry.
+inline void apply_scheme_options(const SchemeConfig& /*scheme*/,
+                                 workload::RunOptions& /*options*/) {}
 
 /// The paper's default SE plan: 50% ratio with the §III-B boundary policy.
 inline core::PlanOptions default_plan() {
@@ -117,7 +106,6 @@ inline workload::LayerResult run_body_layer(const models::LayerSpec& spec,
 
   workload::RunOptions options;
   options.max_tiles_per_layer = tiles;
-  apply_scheme_options(scheme, options);
   options.plan = body_layer_plan(ratio);
   options.layer_filter = {0};
   options.telemetry = collect;

@@ -51,7 +51,6 @@ int main_impl(int argc, char** argv) {
       for (const auto& net : nets) {
         workload::RunOptions options;
         options.max_tiles_per_layer = tiles;
-        options.selective = scheme.selective;
         options.plan = bench::default_plan();
         options.plan.encryption_ratio = ratio;
         options.jobs = jobs;

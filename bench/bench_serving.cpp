@@ -153,7 +153,6 @@ int main_impl(int argc, char** argv) {
     const sim::GpuConfig config = bench::configure(scheme);
     workload::RunOptions options;
     options.max_tiles_per_layer = tiles;
-    bench::apply_scheme_options(scheme, options);
     options.plan = bench::default_plan();
     options.plan.encryption_ratio = ratio;
 

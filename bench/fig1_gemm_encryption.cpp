@@ -49,7 +49,7 @@ int main_impl(int argc, char** argv) {
     fig1a.add_row({name, util::Table::fmt(stats.ipc(), 1),
                    util::Table::fmt(stats.ipc() / baseline_ipc, 3),
                    util::Table::pct(stats.l2_hit_rate()),
-                   config.scheme == sim::EncryptionScheme::kCounter
+                   config.scheme->family == sim::EncryptionScheme::kCounter
                        ? util::Table::pct(stats.counter_hit_rate())
                        : "-"});
     return stats;
@@ -57,15 +57,15 @@ int main_impl(int argc, char** argv) {
 
   sim::GpuConfig config = sim::GpuConfig::gtx480();
   add_row("Baseline", config);
-  config.scheme = sim::EncryptionScheme::kDirect;
+  config.scheme = &sim::resolve_scheme("direct");
   add_row("Direct", config);
 
   util::Table fig1b({"counter cache", "IPC", "hit rate", "counter traffic MB"});
   const std::vector<int> sizes =
       sweep ? std::vector<int>{24, 48, 96, 192, 384, 768, 1536, 3072}
             : std::vector<int>{24, 96, 384, 1536};
+  config.scheme = &sim::resolve_scheme("counter");
   for (int kb : sizes) {
-    config.scheme = sim::EncryptionScheme::kCounter;
     config.counter_cache_kb = kb;
     const sim::SimStats stats = run_gemm(config, dim, tiles);
     fig1a.add_row({"Ctr-" + std::to_string(kb), util::Table::fmt(stats.ipc(), 1),
@@ -80,7 +80,6 @@ int main_impl(int argc, char** argv) {
   if (sweep) {
     // Split counters (Yan et al.): 8x counter coverage per cache line.
     for (int kb : {24, 96}) {
-      config.scheme = sim::EncryptionScheme::kCounter;
       config.counter_cache_kb = kb;
       config.split_counters = true;
       const sim::SimStats stats = run_gemm(config, dim, tiles);

@@ -39,7 +39,6 @@ int main_impl(int argc, char** argv) {
     for (std::size_t n = 0; n < nets.size(); ++n) {
       workload::RunOptions options;
       options.max_tiles_per_layer = tiles;
-      bench::apply_scheme_options(schemes[s], options);
       options.plan = bench::default_plan();
       options.plan.encryption_ratio = ratio;
       options.telemetry = collect.get();

@@ -57,8 +57,10 @@ void BM_CounterTransformLine(benchmark::State& state) {
 BENCHMARK(BM_CounterTransformLine);
 
 void BM_FunctionalMemoryWriteRead(benchmark::State& state) {
-  const auto scheme = static_cast<sim::EncryptionScheme>(state.range(0));
-  sim::FunctionalMemory memory(scheme, false, nullptr, bench_key());
+  // Registry rows 0..2: baseline, direct, counter (full scope).
+  const sim::SchemeInfo& scheme =
+      sim::scheme_registry()[static_cast<std::size_t>(state.range(0))];
+  sim::FunctionalMemory memory(scheme, nullptr, bench_key());
   std::vector<std::uint8_t> buffer(4096, 0xA5);
   std::uint64_t addr = 0;
   for (auto _ : state) {
@@ -68,10 +70,7 @@ void BM_FunctionalMemoryWriteRead(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 8192);
 }
-BENCHMARK(BM_FunctionalMemoryWriteRead)
-    ->Arg(static_cast<int>(sim::EncryptionScheme::kNone))
-    ->Arg(static_cast<int>(sim::EncryptionScheme::kDirect))
-    ->Arg(static_cast<int>(sim::EncryptionScheme::kCounter));
+BENCHMARK(BM_FunctionalMemoryWriteRead)->Arg(0)->Arg(1)->Arg(2);
 
 }  // namespace
 }  // namespace sealdl

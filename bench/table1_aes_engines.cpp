@@ -26,7 +26,7 @@ int main_impl(int argc, char** argv) {
 
   for (const crypto::EngineSpec& engine : crypto::table1_engines()) {
     sim::GpuConfig config = sim::GpuConfig::gtx480();
-    config.scheme = sim::EncryptionScheme::kDirect;
+    config.scheme = &sim::resolve_scheme("direct");
     config.engine = engine;
 
     // Stream `lines` encrypted reads through one controller and measure the
@@ -42,7 +42,7 @@ int main_impl(int argc, char** argv) {
 
     // Same stream without encryption, for the slowdown column.
     sim::GpuConfig plain = config;
-    plain.scheme = sim::EncryptionScheme::kNone;
+    plain.scheme = sim::baseline_scheme();
     sim::MemoryController mc_plain(plain, nullptr);
     sim::Cycle done_plain = 0;
     for (int i = 0; i < lines; ++i) {

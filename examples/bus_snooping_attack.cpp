@@ -127,14 +127,12 @@ int main() {
 
   struct Scenario {
     const char* name;
-    sim::EncryptionScheme scheme;
-    bool selective;
-    bool with_plan;
+    const char* scheme;  ///< registry CLI name
   };
   const Scenario scenarios[] = {
-      {"no protection", sim::EncryptionScheme::kNone, false, false},
-      {"SEAL (50% ratio)", sim::EncryptionScheme::kDirect, true, true},
-      {"full encryption", sim::EncryptionScheme::kDirect, false, false},
+      {"no protection", "baseline"},
+      {"SEAL (50% ratio)", "seal-d"},
+      {"full encryption", "direct"},
   };
 
   core::PlanOptions plan_options;
@@ -143,14 +141,16 @@ int main() {
   util::Table table({"accelerator", "bus transfers", "ciphertext transfers",
                      "weights recovered"});
   for (const Scenario& s : scenarios) {
+    const sim::SchemeInfo& scheme = sim::resolve_scheme(s.scheme);
+    const core::EncryptionPlan* scheme_plan =
+        scheme.scope == sim::ProtectionScope::kPlanRows ? &plan : nullptr;
     core::SecureHeap heap;
-    sim::FunctionalMemory memory(s.scheme, s.selective,
-                                 s.selective ? &heap.secure_map() : nullptr, key);
+    sim::FunctionalMemory memory(scheme, &heap.secure_map(), key);
     attack::BusSnooper snooper;
     memory.set_probe(&snooper);
-    place_and_stream(*model, s.with_plan ? &plan : nullptr, memory, heap);
+    place_and_stream(*model, scheme_plan, memory, heap);
     const double recovered =
-        recovered_fraction(*model, snooper, heap, s.with_plan ? &plan : nullptr);
+        recovered_fraction(*model, snooper, heap, scheme_plan);
     table.add_row({s.name, std::to_string(snooper.transfers()),
                    std::to_string(snooper.encrypted_transfers()),
                    util::Table::pct(recovered)});

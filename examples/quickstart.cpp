@@ -16,6 +16,7 @@
 #include "models/layer_spec.hpp"
 #include "nn/dataset.hpp"
 #include "nn/trainer.hpp"
+#include "sim/scheme_registry.hpp"
 #include "util/table.hpp"
 #include "workload/network_runner.hpp"
 
@@ -58,17 +59,15 @@ int main() {
   double baseline = 0.0;
   struct Run {
     const char* name;
-    sim::EncryptionScheme scheme;
-    bool selective;
+    const char* scheme;  ///< registry CLI name
   };
-  for (const Run& run : {Run{"Baseline", sim::EncryptionScheme::kNone, false},
-                         Run{"Direct (full)", sim::EncryptionScheme::kDirect, false},
-                         Run{"SEAL-D", sim::EncryptionScheme::kDirect, true}}) {
+  for (const Run& run : {Run{"Baseline", "baseline"},
+                         Run{"Direct (full)", "direct"},
+                         Run{"SEAL-D", "seal-d"}}) {
     sim::GpuConfig config = sim::GpuConfig::gtx480();
-    config.scheme = run.scheme;
+    config.scheme = &sim::resolve_scheme(run.scheme);
     workload::RunOptions options;
     options.max_tiles_per_layer = 240;  // sampled; keeps the demo snappy
-    options.selective = run.selective;
     const auto result = workload::run_network(specs, config, options);
     if (baseline == 0.0) baseline = result.overall_ipc();
     std::uint64_t enc = 0, total = 0;

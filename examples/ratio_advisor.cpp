@@ -8,6 +8,7 @@
 
 #include "attack/pipeline.hpp"
 #include "models/layer_spec.hpp"
+#include "sim/scheme_registry.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "workload/network_runner.hpp"
@@ -64,10 +65,8 @@ int main(int argc, char** argv) {
     const double sub_acc = pipe.test_accuracy(*substitute);
 
     sim::GpuConfig config = sim::GpuConfig::gtx480();
-    config.scheme = sim::EncryptionScheme::kDirect;
-    config.selective = true;
+    config.scheme = &sim::resolve_scheme("seal-d");
     workload::RunOptions seal = run_options;
-    seal.selective = true;
     seal.plan.encryption_ratio = ratio;
     const double ipc =
         workload::run_network(specs, config, seal).overall_ipc() / baseline_ipc;

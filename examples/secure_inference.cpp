@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   // model computes identical logits: encryption is invisible to correctness.
   crypto::Key128 key{};
   for (std::size_t i = 0; i < key.size(); ++i) key[i] = static_cast<std::uint8_t>(i + 100);
-  sim::FunctionalMemory memory(sim::EncryptionScheme::kDirect, true,
+  sim::FunctionalMemory memory(sim::resolve_scheme("seal-d"),
                                &heap.secure_map(), key);
   const auto bytes = nn::serialize_params(*model);
   memory.write(0x1000'0000, bytes);
@@ -101,17 +101,15 @@ int main(int argc, char** argv) {
   double baseline_ms = 0.0;
   struct Run {
     const char* name;
-    sim::EncryptionScheme scheme;
-    bool selective;
+    const char* scheme;  ///< registry CLI name
   };
-  for (const Run& run : {Run{"Baseline (insecure)", sim::EncryptionScheme::kNone, false},
-                         Run{"Direct full encryption", sim::EncryptionScheme::kDirect, false},
-                         Run{"SEAL-D", sim::EncryptionScheme::kDirect, true}}) {
+  for (const Run& run : {Run{"Baseline (insecure)", "baseline"},
+                         Run{"Direct full encryption", "direct"},
+                         Run{"SEAL-D", "seal-d"}}) {
     sim::GpuConfig config = sim::GpuConfig::gtx480();
-    config.scheme = run.scheme;
+    config.scheme = &sim::resolve_scheme(run.scheme);
     workload::RunOptions options;
     options.max_tiles_per_layer = 240;
-    options.selective = run.selective;
     options.plan = plan_options;
     const auto result = workload::run_network(specs, config, options);
     const double ms = result.total_cycles() / 700e6 * 1e3;

@@ -11,16 +11,13 @@ constexpr Addr line_base(Addr addr) {
 }
 }  // namespace
 
-FunctionalMemory::FunctionalMemory(EncryptionScheme scheme, bool selective,
+FunctionalMemory::FunctionalMemory(const SchemeInfo& scheme,
                                    const SecureMap* secure_map,
                                    const crypto::Key128& key)
-    : scheme_(scheme), selective_(selective), secure_map_(secure_map), aes_(key) {}
+    : family_(scheme.family), protection_(scheme, secure_map), aes_(key) {}
 
 bool FunctionalMemory::line_is_secure(Addr line_addr) const {
-  if (scheme_ == EncryptionScheme::kNone) return false;
-  if (!selective_) return true;
-  return secure_map_ == nullptr ||
-         secure_map_->line_is_secure(line_addr, crypto::kLineBytes);
+  return protection_.line_is_secure(line_addr, crypto::kLineBytes);
 }
 
 FunctionalMemory::LineBuf& FunctionalMemory::line_slot(Addr line_addr) {
@@ -31,7 +28,7 @@ FunctionalMemory::LineBuf FunctionalMemory::seal_line(Addr line_addr,
                                                       const LineBuf& plain) {
   LineBuf out = plain;
   if (!line_is_secure(line_addr)) return out;
-  switch (scheme_) {
+  switch (family_) {
     case EncryptionScheme::kDirect:
       crypto::direct_encrypt_line(aes_, line_addr, out.bytes);
       break;
@@ -50,7 +47,7 @@ FunctionalMemory::LineBuf FunctionalMemory::unseal_line(Addr line_addr,
                                                         const LineBuf& stored) const {
   LineBuf out = stored;
   if (!line_is_secure(line_addr)) return out;
-  switch (scheme_) {
+  switch (family_) {
     case EncryptionScheme::kDirect:
       crypto::direct_decrypt_line(aes_, line_addr, out.bytes);
       break;

@@ -15,17 +15,17 @@
 #include "crypto/aes128.hpp"
 #include "crypto/modes.hpp"
 #include "sim/bus_probe.hpp"
-#include "sim/gpu_config.hpp"
-#include "sim/secure_map.hpp"
+#include "sim/scheme_registry.hpp"
 
 namespace sealdl::sim {
 
 class FunctionalMemory {
  public:
-  /// `scheme` selects the line transform; `secure_map` (non-owning, may be
-  /// null) marks the ranges to encrypt when `selective` is true.
-  FunctionalMemory(EncryptionScheme scheme, bool selective,
-                   const SecureMap* secure_map, const crypto::Key128& key);
+  /// `scheme`'s family selects the line transform and its scope which lines
+  /// get it (LineProtection); `secure_map` (non-owning, may be null) marks
+  /// the ranges a selective scope encrypts.
+  FunctionalMemory(const SchemeInfo& scheme, const SecureMap* secure_map,
+                   const crypto::Key128& key);
 
   /// Writes `data` starting at `addr`. The chip-side caller supplies
   /// plaintext; whole covering lines are encrypted (if secure) and stored.
@@ -60,9 +60,8 @@ class FunctionalMemory {
   /// Inverse transform of the stored image.
   LineBuf unseal_line(Addr line_addr, const LineBuf& stored) const;
 
-  EncryptionScheme scheme_;
-  bool selective_;
-  const SecureMap* secure_map_;
+  EncryptionScheme family_;
+  LineProtection protection_;
   crypto::Aes128 aes_;
   std::unordered_map<Addr, LineBuf> lines_;
   std::unordered_map<Addr, std::uint64_t> counters_;

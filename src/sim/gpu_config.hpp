@@ -13,7 +13,8 @@
 
 namespace sealdl::sim {
 
-/// Which memory-encryption scheme the memory controllers apply to secure data.
+/// The cipher family of a scheme (SchemeInfo::family): how a secure line is
+/// transformed and timed.
 enum class EncryptionScheme {
   kNone,     ///< Baseline: no encryption.
   kDirect,   ///< Direct (XEX-style) encryption of the line payload.
@@ -23,7 +24,10 @@ enum class EncryptionScheme {
 /// Returns a short human-readable name ("Baseline", "Direct", "Counter").
 const char* scheme_name(EncryptionScheme scheme);
 
-class SchemeModel;
+struct SchemeInfo;
+
+/// The registry's Baseline entry (sim/scheme_registry.hpp): no encryption.
+[[nodiscard]] const SchemeInfo* baseline_scheme();
 
 struct GpuConfig {
   // --- compute ---
@@ -56,7 +60,11 @@ struct GpuConfig {
   double core_mhz = 700.0;
 
   // --- encryption ---
-  EncryptionScheme scheme = EncryptionScheme::kNone;
+  /// The scheme the controllers run, as its registry entry
+  /// (sim/scheme_registry.hpp): cipher family, protection scope and timing
+  /// model in one. Never null. The JSON report serializes it by family name
+  /// and selectivity, never by pointer.
+  const SchemeInfo* scheme = baseline_scheme();
   crypto::EngineSpec engine = crypto::default_engine();
   int engines_per_controller = 1;   ///< paper: one AES engine per MC
   int counter_cache_kb = 96;        ///< on-chip counter cache (counter mode)
@@ -67,14 +75,6 @@ struct GpuConfig {
   /// counter-cache line. Minor-counter overflow (page re-encryption) is rare
   /// and not modeled. Effective only in counter mode.
   bool split_counters = false;
-  /// When true, only addresses marked secure in the SecureMap are encrypted
-  /// (SEAL); when false every address is treated as secure (full encryption).
-  bool selective = false;
-  /// Resolved scheme model (sim/scheme_registry.hpp). Null means "derive from
-  /// `scheme`": the controller falls back to the family's canonical registry
-  /// entry, so enum-only configs keep working. Not part of the config hash —
-  /// the JSON report serializes the scheme by name, never by pointer.
-  const SchemeModel* scheme_model = nullptr;
 
   /// Per-channel achievable DRAM bandwidth in bytes per core cycle.
   [[nodiscard]] double dram_bytes_per_cycle_per_channel() const {

@@ -29,8 +29,9 @@ namespace sealdl::sim {
 class GpuSimulator {
  public:
   /// `secure_map` describes which address ranges hold encrypted data; it is
-  /// only consulted when config.selective is true (the SEAL schemes). It may
-  /// be null for full or no encryption. The map must outlive the simulator.
+  /// only consulted when the config's scheme protects a narrower scope than
+  /// everything (SEAL, GuardNN), and null there means every line is secure.
+  /// The map must outlive the simulator.
   explicit GpuSimulator(GpuConfig config, const SecureMap* secure_map = nullptr);
 
   /// Distributes warp programs round-robin across SMs and their warp slots.

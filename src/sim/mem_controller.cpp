@@ -3,16 +3,14 @@
 #include <algorithm>
 
 #include "sim/bus_probe.hpp"
-#include "sim/scheme_registry.hpp"
 
 namespace sealdl::sim {
 
 MemoryController::MemoryController(const GpuConfig& config,
                                    const SecureMap* secure_map)
     : config_(config),
-      model_(config.scheme_model ? config.scheme_model
-                                 : default_scheme_for(config.scheme).model),
-      secure_map_(secure_map),
+      model_(config.scheme->model),
+      protection_(*config.scheme, secure_map),
       dram_(config.dram_bytes_per_cycle_per_channel(),
             static_cast<Cycle>(config.dram_latency)),
       aes_(config.aes_bytes_per_cycle(),
@@ -24,10 +22,7 @@ MemoryController::MemoryController(const GpuConfig& config,
 }
 
 bool MemoryController::needs_encryption(Addr addr) const {
-  if (config_.scheme == EncryptionScheme::kNone) return false;
-  if (!config_.selective) return true;
-  return secure_map_ == nullptr ||
-         secure_map_->line_is_secure(addr, config_.line_bytes);
+  return protection_.line_is_secure(addr, config_.line_bytes);
 }
 
 Addr MemoryController::counter_line_addr(Addr data_addr) const {
@@ -77,7 +72,7 @@ Cycle MemoryController::read_line(Cycle now, Addr addr) {
   if (probe_) probe_->on_transfer(addr, static_cast<std::uint32_t>(bytes), false, secure);
 
   if (!secure) {
-    bypassed_bytes_ += config_.scheme == EncryptionScheme::kNone ? 0 : bytes;
+    bypassed_bytes_ += protection_.encrypts_any() ? bytes : 0;
     return dram_.schedule(now, bytes);
   }
 
@@ -92,7 +87,7 @@ Cycle MemoryController::write_line(Cycle now, Addr addr) {
   if (probe_) probe_->on_transfer(addr, static_cast<std::uint32_t>(bytes), true, secure);
 
   if (!secure) {
-    bypassed_bytes_ += config_.scheme == EncryptionScheme::kNone ? 0 : bytes;
+    bypassed_bytes_ += protection_.encrypts_any() ? bytes : 0;
     return dram_.schedule(now, bytes);
   }
 

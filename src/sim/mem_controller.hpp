@@ -28,6 +28,7 @@
 #include "sim/pipes.hpp"
 #include "sim/request.hpp"
 #include "sim/scheme_model.hpp"
+#include "sim/scheme_registry.hpp"
 #include "sim/secure_map.hpp"
 #include "sim/sim_stats.hpp"
 
@@ -72,8 +73,7 @@ class MemoryController : private SchemeModel::Host {
 
   void set_probe(BusProbe* probe) { probe_ = probe; }
 
-  /// The scheme model this controller resolved (explicit from the config, or
-  /// the family default). Never null.
+  /// The scheme model of the config's registry entry.
   [[nodiscard]] const SchemeModel& scheme_model() const { return *model_; }
 
   // Per-controller telemetry accessors (pull-based; nothing extra is tracked).
@@ -134,8 +134,8 @@ class MemoryController : private SchemeModel::Host {
   [[nodiscard]] Addr counter_line_addr(Addr data_addr) const;
 
   GpuConfig config_;  ///< by value: controllers outlive caller-built configs
-  const SchemeModel* model_;     ///< resolved scheme model, never null
-  const SecureMap* secure_map_;  ///< may be null => everything secure
+  const SchemeModel* model_;  ///< the entry's model, never null
+  LineProtection protection_;  ///< resolved once; the per-line secure test
   ThroughputPipe dram_;
   ThroughputPipe aes_;
   std::optional<SetAssocCache> counter_cache_;

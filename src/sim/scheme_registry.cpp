@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <stdexcept>
+#include <string>
 
 namespace sealdl::sim {
 namespace {
@@ -189,22 +191,21 @@ const SchemeInfo* find_scheme(std::string_view name) {
   return it == g_registry.end() ? nullptr : &*it;
 }
 
-const SchemeInfo& default_scheme_for(EncryptionScheme family) {
-  switch (family) {
-    case EncryptionScheme::kNone:
-      return g_registry[0];
-    case EncryptionScheme::kDirect:
-      return g_registry[1];
-    case EncryptionScheme::kCounter:
-      return g_registry[2];
+const SchemeInfo& resolve_scheme(std::string_view name) {
+  if (const SchemeInfo* entry = find_scheme(name)) return *entry;
+  std::string names;
+  for (const SchemeInfo& info : g_registry) {
+    if (!names.empty()) names += '|';
+    names += info.cli_name;
   }
-  return g_registry[0];
+  throw std::invalid_argument("unknown --scheme " + std::string(name) + " (" +
+                              names + ")");
 }
 
-void apply_scheme(const SchemeInfo& info, GpuConfig& config) {
-  config.scheme = info.family;
-  config.selective = info.selective();
-  config.scheme_model = info.model;
-}
+const SchemeInfo* baseline_scheme() { return &g_registry[0]; }
+
+LineProtection::LineProtection(const SchemeInfo& scheme, const SecureMap* map)
+    : encrypts_(scheme.family != EncryptionScheme::kNone),
+      map_(scheme.scope == ProtectionScope::kAll ? nullptr : map) {}
 
 }  // namespace sealdl::sim

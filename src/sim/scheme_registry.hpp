@@ -2,11 +2,14 @@
 // knows: CLI spelling, display name, EncryptionScheme family, protection
 // scope, and the SchemeModel singleton that times it.
 //
-// `GpuConfig`, `sealdl-sim`, `sealdl-serve`, `sealdl-check`, and the benches
-// all resolve schemes by name through this table, so adding a scheme is one
-// row here (plus its model) and cannot desync `--scheme` parsing, report
-// provenance, and the conformance analyzer — scheme.registry plus the
-// rule-catalog drift gates fail the build on a missing or inconsistent entry.
+// An entry is the whole scheme identity: `GpuConfig::scheme` points at one,
+// and the controllers, the network runner, the functional memory and the
+// report all read family, scope and model from it. `sealdl-sim`,
+// `sealdl-serve`, `sealdl-check`, and the benches resolve schemes by name
+// through this table, so adding a scheme is one row here (plus its model) and
+// cannot desync `--scheme` parsing, report provenance, and the conformance
+// analyzer — scheme.registry plus the rule-catalog drift gates fail the build
+// on a missing or inconsistent entry.
 #pragma once
 
 #include <span>
@@ -14,6 +17,7 @@
 
 #include "sim/gpu_config.hpp"
 #include "sim/scheme_model.hpp"
+#include "sim/secure_map.hpp"
 
 namespace sealdl::sim {
 
@@ -22,7 +26,7 @@ namespace sealdl::sim {
 struct SchemeInfo {
   const char* cli_name;
   const char* display;
-  EncryptionScheme family;  ///< timing family the controller enum still names
+  EncryptionScheme family;  ///< cipher family (line transform)
   ProtectionScope scope;    ///< what the scheme protects
   const SchemeModel* model; ///< registry-owned singleton, never null
   bool paper;               ///< one of the paper's five schemes (fig benches)
@@ -41,12 +45,32 @@ struct SchemeInfo {
 /// returns nullptr when unknown.
 [[nodiscard]] const SchemeInfo* find_scheme(std::string_view name);
 
-/// The registry entry whose model a config resolves to when no explicit
-/// model was applied: the canonical full-coverage entry of each family.
-[[nodiscard]] const SchemeInfo& default_scheme_for(EncryptionScheme family);
+/// Looks up a scheme by name like find_scheme(), but throws
+/// std::invalid_argument naming every registered CLI name when it is unknown
+/// (the CLIs' `--scheme` parser).
+[[nodiscard]] const SchemeInfo& resolve_scheme(std::string_view name);
 
-/// Configures `config` to run `info`: sets the scheme family, the selective
-/// flag, and the model pointer the MemoryController dispatches through.
-void apply_scheme(const SchemeInfo& info, GpuConfig& config);
+/// Which lines a scheme encrypts over a secure map: the one per-line rule
+/// the timing controller and the functional memory share. Resolved once from
+/// the entry: a family of kNone protects nothing, scope kAll protects every
+/// line, and any narrower scope protects the lines `map` marks (a null map
+/// marks every line). The per-line query is then a flag test plus, for
+/// selective scopes only, the map lookup.
+class LineProtection {
+ public:
+  LineProtection(const SchemeInfo& scheme, const SecureMap* map);
+
+  /// Whether the scheme encrypts anything at all (false only for Baseline).
+  [[nodiscard]] bool encrypts_any() const { return encrypts_; }
+
+  [[nodiscard]] bool line_is_secure(Addr line_addr, int line_bytes) const {
+    return encrypts_ &&
+           (map_ == nullptr || map_->line_is_secure(line_addr, line_bytes));
+  }
+
+ private:
+  bool encrypts_;
+  const SecureMap* map_;  ///< null => every line
+};
 
 }  // namespace sealdl::sim

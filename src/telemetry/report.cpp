@@ -5,6 +5,7 @@
 #include <thread>
 #include <utility>
 
+#include "sim/scheme_registry.hpp"
 #include "telemetry/profiler.hpp"
 #include "util/logging.hpp"
 
@@ -51,8 +52,8 @@ void write_provenance_json(util::JsonWriter& json, const Provenance& prov) {
 
 void write_config_json(util::JsonWriter& json, const sim::GpuConfig& config) {
   json.begin_object();
-  json.field("scheme", sim::scheme_name(config.scheme));
-  json.field("selective", config.selective);
+  json.field("scheme", sim::scheme_name(config.scheme->family));
+  json.field("selective", config.scheme->selective());
   json.field("num_sms", config.num_sms);
   json.field("warps_per_sm", config.warps_per_sm);
   json.field("warp_size", config.warp_size);

@@ -279,7 +279,6 @@ AnalysisInput build_input(const std::vector<models::LayerSpec>& specs,
   AnalysisInput input;
   input.specs = specs;
   input.plan_options = options.plan;
-  input.selective = options.selective;
   input.inject = options.inject;
 
   input.plan_index.assign(specs.size(), -1);

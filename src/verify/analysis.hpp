@@ -52,8 +52,7 @@ struct ResidualEdge {
 struct AnalysisInput {
   std::vector<models::LayerSpec> specs;
   core::PlanOptions plan_options;
-  bool selective = true;
-  /// Null iff !selective (baseline configs have nothing to check against).
+  /// Null iff built without a plan (BuildOptions::selective false).
   std::optional<core::EncryptionPlan> plan;
   core::SecureHeap heap;
   std::optional<core::ModelLayout> layout;
@@ -76,6 +75,9 @@ struct AnalysisInput {
 
 struct BuildOptions {
   core::PlanOptions plan;
+  /// Whether to build the encryption plan (plan-row schemes); false models
+  /// the plain layout. Kept as a boolean, not a registry entry, because the
+  /// standalone benchmark (benchmark/sweep.cpp) sets it.
   bool selective = true;
   Injection inject = Injection::kNone;
 };

@@ -73,7 +73,7 @@ void add_error(Report& report, const char* rule, const std::string& layer,
 }
 
 /// Latency of a line read issued at `now` on a fresh controller configured
-/// for `entry` (selective off, so the probe address is in-scope for every
+/// for `entry` (no secure map, so the probe address is in-scope for every
 /// non-baseline scheme).
 struct TimingProbe {
   sim::MemoryController controller;
@@ -83,8 +83,7 @@ struct TimingProbe {
 
   static sim::GpuConfig probe_config(const sim::SchemeInfo& entry) {
     sim::GpuConfig config = sim::GpuConfig::gtx480();
-    apply_scheme(entry, config);
-    config.selective = false;  // the probe address must hit the secure path
+    config.scheme = &entry;
     return config;
   }
 
@@ -146,8 +145,7 @@ void oracle_transcript(const sim::SchemeInfo& entry, const AnalysisInput& input,
   for (std::size_t i = 0; i < key.size(); ++i) {
     key[i] = static_cast<std::uint8_t>(i * 17 + 3);
   }
-  sim::FunctionalMemory memory(entry.family, entry.selective(),
-                               &input.heap.secure_map(), key);
+  sim::FunctionalMemory memory(entry, &input.heap.secure_map(), key);
   TaintLedger ledger;
   TaintProbe probe(&input, &ledger);
   memory.set_probe(&probe);
@@ -324,7 +322,7 @@ void check_scheme_timing(const sim::SchemeInfo& entry,
   // again, so latencies are pure (no occupancy queueing from earlier probes).
   constexpr sim::Cycle kQuiet = 1'000'000;
 
-  TimingProbe baseline(sim::default_scheme_for(sim::EncryptionScheme::kNone));
+  TimingProbe baseline(*sim::baseline_scheme());
   const sim::Cycle plain = baseline.read_latency(0, kAddr);
 
   TimingProbe probe(entry);

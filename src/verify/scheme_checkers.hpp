@@ -10,8 +10,8 @@
 // dataflow is caught.
 //
 //   scheme.registry  static table consistency: unique CLI/display names,
-//                    scope <-> selective <-> contract agreement, counter
-//                    metadata declared iff a counter cache is used.
+//                    entry scope <-> contract scope <-> family agreement,
+//                    counter metadata declared iff a counter cache is used.
 //   scheme.wire      ledger bytes respect the contract's WireVisibility
 //                    (plan-boundary schemes follow plan_line_policy;
 //                    weights-cipher schemes split by region kind; full

@@ -8,6 +8,7 @@
 
 #include "sim/bus_probe.hpp"
 #include "sim/gpu_simulator.hpp"
+#include "sim/scheme_registry.hpp"
 #include "telemetry/collect.hpp"
 #include "util/logging.hpp"
 #include "util/thread_pool.hpp"
@@ -166,15 +167,11 @@ void merge_outcome(LayerOutcome outcome, const sim::GpuConfig& config,
 }
 
 NetworkResult run_specs(const std::vector<models::LayerSpec>& specs,
-                        sim::GpuConfig config, const RunOptions& options) {
+                        const sim::GpuConfig& config, const RunOptions& options) {
   // Build the address-space layout once; all schemes share addresses so that
   // results are comparable line for line. Layout, plan, and secure map are
   // immutable from here on — layer tasks only read them.
-  const sim::ProtectionScope scope = options.scope.value_or(
-      options.selective ? sim::ProtectionScope::kPlanRows
-      : config.scheme == sim::EncryptionScheme::kNone
-          ? sim::ProtectionScope::kNone
-          : sim::ProtectionScope::kAll);
+  const sim::ProtectionScope scope = config.scheme->scope;
   core::SecureHeap heap;
   core::EncryptionPlan plan;
   const core::EncryptionPlan* plan_ptr = nullptr;
@@ -199,8 +196,6 @@ NetworkResult run_specs(const std::vector<models::LayerSpec>& specs,
       }
     }
   }
-  config.selective = scope == sim::ProtectionScope::kPlanRows ||
-                     scope == sim::ProtectionScope::kWeights;
 
   std::vector<std::size_t> indices = options.layer_filter;
   if (indices.empty()) {

@@ -4,14 +4,12 @@
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/encryption_plan.hpp"
 #include "core/model_layout.hpp"
 #include "sim/gpu_config.hpp"
-#include "sim/scheme_model.hpp"
 #include "sim/sim_stats.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -73,16 +71,11 @@ struct RunOptions {
   /// Cap on simulated tiles per layer (0 = exact). Sampling keeps full-network
   /// runs fast; per-layer cycles are scaled by the uncovered tile fraction.
   std::uint64_t max_tiles_per_layer = 2000;
+  /// Encryption plan options, used when the config's scheme protects the
+  /// plan's rows (SEAL). The config's registry entry alone decides the
+  /// secure map: plan rows build this plan, weights-only marks every kernel
+  /// row (GuardNN), and full or no encryption needs no map.
   core::PlanOptions plan;
-  /// When true, a SEAL plan (from `plan`) drives selective encryption; when
-  /// false the whole address space is treated per the scheme.
-  bool selective = false;
-  /// Protection-scope override (sim/scheme_model.hpp). Unset — the default —
-  /// derives the scope from `selective` and the scheme family: selective
-  /// schemes protect the plan's rows, full schemes everything. kWeights
-  /// (GuardNN-style) builds a weights-only secure map with no plan and runs
-  /// the config selectively against it; kPlanRows forces the plan path.
-  std::optional<sim::ProtectionScope> scope;
   /// When non-empty, only these spec indices are simulated (the full layout
   /// is still built, so e.g. a POOL keeps the channel encryption induced by
   /// its downstream CONV). Results appear in filter order.

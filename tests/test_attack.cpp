@@ -27,7 +27,7 @@ crypto::Key128 test_key() {
 // ------------------------------------------------------------- BusSnooper ---
 
 TEST(BusSnooper, ReconstructsPlaintextExactly) {
-  sim::FunctionalMemory memory(sim::EncryptionScheme::kNone, false, nullptr,
+  sim::FunctionalMemory memory(sim::resolve_scheme("baseline"), nullptr,
                                test_key());
   BusSnooper snooper;
   memory.set_probe(&snooper);
@@ -40,7 +40,7 @@ TEST(BusSnooper, ReconstructsPlaintextExactly) {
 }
 
 TEST(BusSnooper, EncryptedLinesYieldGarbage) {
-  sim::FunctionalMemory memory(sim::EncryptionScheme::kDirect, false, nullptr,
+  sim::FunctionalMemory memory(sim::resolve_scheme("direct"), nullptr,
                                test_key());
   BusSnooper snooper;
   memory.set_probe(&snooper);
@@ -62,7 +62,7 @@ TEST(BusSnooper, UnobservedRangesReadZeroAndReportCoverage) {
 TEST(BusSnooper, SelectiveMixRecoversOnlyPlaintextLines) {
   sim::SecureMap map;
   map.add_range(0x3000, 128);  // first line secure, second plain
-  sim::FunctionalMemory memory(sim::EncryptionScheme::kDirect, true, &map,
+  sim::FunctionalMemory memory(sim::resolve_scheme("seal-d"), &map,
                                test_key());
   BusSnooper snooper;
   memory.set_probe(&snooper);
@@ -75,7 +75,7 @@ TEST(BusSnooper, SelectiveMixRecoversOnlyPlaintextLines) {
 }
 
 TEST(BusSnooper, ClearResetsState) {
-  sim::FunctionalMemory memory(sim::EncryptionScheme::kNone, false, nullptr,
+  sim::FunctionalMemory memory(sim::resolve_scheme("baseline"), nullptr,
                                test_key());
   BusSnooper snooper;
   memory.set_probe(&snooper);

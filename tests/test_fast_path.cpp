@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "models/layer_spec.hpp"
+#include "sim/scheme_registry.hpp"
 #include "telemetry/profiler.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/json.hpp"
@@ -42,17 +43,13 @@ std::vector<models::LayerSpec> specs_for(const std::string& net) {
 }
 
 struct SchemeCase {
-  const char* name;
-  sim::EncryptionScheme scheme;
-  bool selective;
+  const char* name;    ///< test-name spelling
+  const char* scheme;  ///< registry CLI name
 };
 
 constexpr SchemeCase kSchemes[] = {
-    {"baseline", sim::EncryptionScheme::kNone, false},
-    {"direct", sim::EncryptionScheme::kDirect, false},
-    {"counter", sim::EncryptionScheme::kCounter, false},
-    {"seal_d", sim::EncryptionScheme::kDirect, true},
-    {"seal_c", sim::EncryptionScheme::kCounter, true},
+    {"baseline", "baseline"}, {"direct", "direct"}, {"counter", "counter"},
+    {"seal_d", "seal-d"},     {"seal_c", "seal-c"},
 };
 
 struct PathRun {
@@ -65,7 +62,7 @@ struct PathRun {
 PathRun run_path(const std::vector<models::LayerSpec>& specs,
                  const SchemeCase& scheme, double ratio, bool fast_path) {
   sim::GpuConfig config = sim::GpuConfig::gtx480();
-  config.scheme = scheme.scheme;
+  config.scheme = &sim::resolve_scheme(scheme.scheme);
 
   PathRun run;
   // Sampler off (interval 0): the series is the one artifact the fast-path
@@ -76,14 +73,13 @@ PathRun run_path(const std::vector<models::LayerSpec>& specs,
                                   /*profile=*/true});
   verify::BuildOptions build;
   build.plan.encryption_ratio = ratio;
-  build.selective = scheme.selective;
+  build.selective = config.scheme->scope == sim::ProtectionScope::kPlanRows;
   run.input = std::make_unique<verify::AnalysisInput>(
       verify::build_input(specs, build));
   run.auditor = std::make_unique<verify::TaintAuditor>(run.input.get());
 
   RunOptions options;
   options.max_tiles_per_layer = kTiles;
-  options.selective = scheme.selective;
   options.plan.encryption_ratio = ratio;
   options.telemetry = run.telemetry.get();
   options.probe_hook = run.auditor.get();

@@ -37,12 +37,12 @@ TEST(Integration, EncryptedStorageIsTransparentToInference) {
   auto model = models::build_resnet18(tiny_build());
   const auto bytes = nn::serialize_params(*model);
 
-  for (auto scheme : {sim::EncryptionScheme::kDirect, sim::EncryptionScheme::kCounter}) {
-    sim::FunctionalMemory memory(scheme, false, nullptr, test_key());
+  for (const char* scheme : {"direct", "counter"}) {
+    sim::FunctionalMemory memory(sim::resolve_scheme(scheme), nullptr, test_key());
     memory.write(0x100000, bytes);
     std::vector<std::uint8_t> readback(bytes.size());
     memory.read(0x100000, readback);
-    EXPECT_EQ(readback, bytes) << scheme_name(scheme);
+    EXPECT_EQ(readback, bytes) << scheme;
   }
 }
 
@@ -97,7 +97,7 @@ TEST(Integration, SnooperLearnsNothingAboutEncryptedRowsEndToEnd) {
   const auto plan = core::EncryptionPlan::from_model(*model, plan_options);
 
   core::SecureHeap heap;
-  sim::FunctionalMemory memory(sim::EncryptionScheme::kDirect, true,
+  sim::FunctionalMemory memory(sim::resolve_scheme("seal-d"),
                                &heap.secure_map(), test_key());
   attack::BusSnooper snooper;
   memory.set_probe(&snooper);
@@ -155,13 +155,11 @@ TEST(Integration, TimingSchemesOrderAcrossWholeNetworks) {
     sim::GpuConfig config = sim::GpuConfig::gtx480();
     const auto baseline = workload::run_network(specs, config, options);
 
-    config.scheme = sim::EncryptionScheme::kDirect;
+    config.scheme = &sim::resolve_scheme("direct");
     const auto direct = workload::run_network(specs, config, options);
 
-    config.selective = true;
-    workload::RunOptions seal_options = options;
-    seal_options.selective = true;
-    const auto seal = workload::run_network(specs, config, seal_options);
+    config.scheme = &sim::resolve_scheme("seal-d");
+    const auto seal = workload::run_network(specs, config, options);
 
     EXPECT_GT(baseline.overall_ipc(), seal.overall_ipc()) << name;
     EXPECT_GT(seal.overall_ipc(), direct.overall_ipc()) << name;

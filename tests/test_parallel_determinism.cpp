@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "models/layer_spec.hpp"
+#include "sim/scheme_registry.hpp"
 #include "telemetry/profiler.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/json.hpp"
@@ -46,10 +47,9 @@ struct SimRun {
 SimRun run_with_jobs(const std::vector<models::LayerSpec>& specs, double ratio,
                      int jobs, std::uint64_t chunk_tiles = 0) {
   sim::GpuConfig config = sim::GpuConfig::gtx480();
-  config.scheme = sim::EncryptionScheme::kDirect;
+  config.scheme = &sim::resolve_scheme("seal-d");
   RunOptions options;
   options.max_tiles_per_layer = kTiles;
-  options.selective = true;
   options.plan.encryption_ratio = ratio;
   options.jobs = jobs;
   options.chunk_tiles = chunk_tiles;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "models/layer_spec.hpp"
+#include "sim/scheme_registry.hpp"
 #include "telemetry/profiler.hpp"
 #include "telemetry/telemetry.hpp"
 #include "verify/profile_checkers.hpp"
@@ -20,19 +21,9 @@ namespace {
 constexpr int kInput = 32;
 constexpr std::uint64_t kTiles = 24;
 
-struct SchemeSetup {
-  const char* name;
-  sim::EncryptionScheme scheme;
-  bool selective;
-};
-
-constexpr SchemeSetup kSchemes[] = {
-    {"baseline", sim::EncryptionScheme::kNone, false},
-    {"direct", sim::EncryptionScheme::kDirect, false},
-    {"counter", sim::EncryptionScheme::kCounter, false},
-    {"seal-d", sim::EncryptionScheme::kDirect, true},
-    {"seal-c", sim::EncryptionScheme::kCounter, true},
-};
+/// The paper's five schemes, by registry CLI name.
+constexpr const char* kSchemes[] = {"baseline", "direct", "counter", "seal-d",
+                                    "seal-c"};
 
 struct ProfiledRun {
   NetworkResult result;
@@ -42,14 +33,13 @@ struct ProfiledRun {
 };
 
 ProfiledRun run_profiled(const std::vector<models::LayerSpec>& specs,
-                         const SchemeSetup& setup, int jobs,
+                         const char* scheme, int jobs,
                          sim::Cycle sample_interval = 0,
                          std::size_t max_samples = 0) {
   sim::GpuConfig config = sim::GpuConfig::gtx480();
-  config.scheme = setup.scheme;
+  config.scheme = &sim::resolve_scheme(scheme);
   RunOptions options;
   options.max_tiles_per_layer = kTiles;
-  options.selective = setup.selective;
   options.plan.encryption_ratio = 0.5;
   options.jobs = jobs;
   telemetry::TelemetryOptions topts;
@@ -66,9 +56,9 @@ ProfiledRun run_profiled(const std::vector<models::LayerSpec>& specs,
 // components of a layer agree on the layer's total — on all five schemes.
 TEST(CycleConservation, HoldsOnAllSchemes) {
   const auto specs = models::resnet18_specs(kInput);
-  for (const SchemeSetup& setup : kSchemes) {
-    SCOPED_TRACE(setup.name);
-    const ProfiledRun run = run_profiled(specs, setup, /*jobs=*/1);
+  for (const char* scheme : kSchemes) {
+    SCOPED_TRACE(scheme);
+    const ProfiledRun run = run_profiled(specs, scheme, /*jobs=*/1);
     const telemetry::CycleProfile& profile = run.telemetry.profile();
     ASSERT_EQ(profile.layers.size(), specs.size());
     for (const telemetry::LayerCycleProfile& layer : profile.layers) {
@@ -124,10 +114,9 @@ TEST(ProfileDeterminism, ProfilingDoesNotPerturbResults) {
   const ProfiledRun profiled = run_profiled(specs, kSchemes[2], /*jobs=*/1);
 
   sim::GpuConfig config = sim::GpuConfig::gtx480();
-  config.scheme = kSchemes[2].scheme;
+  config.scheme = &sim::resolve_scheme(kSchemes[2]);
   RunOptions options;
   options.max_tiles_per_layer = kTiles;
-  options.selective = kSchemes[2].selective;
   options.plan.encryption_ratio = 0.5;
   const NetworkResult plain = run_network(specs, config, options);
 
@@ -178,7 +167,7 @@ TEST(SamplerDecimation, DeterministicAcrossJobs) {
 TEST(DisabledPathOverhead, AtMostTwoPercent) {
   const auto specs = models::vgg16_specs(kInput);
   sim::GpuConfig config = sim::GpuConfig::gtx480();
-  config.scheme = sim::EncryptionScheme::kCounter;
+  config.scheme = &sim::resolve_scheme("counter");
   RunOptions base;
   base.max_tiles_per_layer = kTiles;
   base.plan.encryption_ratio = 0.5;

@@ -2,12 +2,15 @@
 // any configuration, checked across parameter grids.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/encryption_plan.hpp"
 #include "core/model_layout.hpp"
 #include "core/secure_heap.hpp"
 #include "models/layer_spec.hpp"
 #include "nn/dataset.hpp"
 #include "sim/gpu_simulator.hpp"
+#include "sim/scheme_registry.hpp"
 #include "util/rng.hpp"
 #include "workload/layer_trace.hpp"
 #include "workload/network_runner.hpp"
@@ -93,7 +96,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ------------------------------------------------- simulator conservation ---
 
-class TrafficConservation : public ::testing::TestWithParam<sim::EncryptionScheme> {};
+/// One cipher family per instance: its full-scope registry name (first) and
+/// its plan-row SEAL counterpart (second; Baseline has none).
+class TrafficConservation
+    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
 
 TEST_P(TrafficConservation, DramReadsBoundedByMissesAndNonZero) {
   // Each DRAM data read is one line fill; the L2 miss count exceeds the
@@ -108,7 +114,7 @@ TEST_P(TrafficConservation, DramReadsBoundedByMissesAndNonZero) {
     return s;
   }();
   sim::GpuConfig config = sim::GpuConfig::gtx480();
-  config.scheme = GetParam();
+  config.scheme = &sim::resolve_scheme(GetParam().first);
   workload::RunOptions options;
   options.max_tiles_per_layer = 0;  // exact
   const auto result = workload::run_single_layer(spec, config, options);
@@ -130,17 +136,16 @@ TEST_P(TrafficConservation, EncryptedPlusBypassedCoversSecureTraffic) {
     return s;
   }();
   sim::GpuConfig config = sim::GpuConfig::gtx480();
-  config.scheme = GetParam();
+  config.scheme = &sim::resolve_scheme(GetParam().second);
   workload::RunOptions options;
   options.max_tiles_per_layer = 0;
-  options.selective = true;
   options.plan.encryption_ratio = 0.5;
   options.plan.full_head_convs = 0;
   options.plan.full_tail_convs = 0;
   options.plan.full_tail_fcs = 0;
   const auto result = workload::run_single_layer(spec, config, options);
   const auto& stats = result.stats;
-  if (GetParam() == sim::EncryptionScheme::kNone) {
+  if (config.scheme->family == sim::EncryptionScheme::kNone) {
     EXPECT_EQ(stats.encrypted_bytes, 0u);
   } else {
     // Every data byte is classified exactly once (dram_bytes counts data
@@ -152,9 +157,9 @@ TEST_P(TrafficConservation, EncryptedPlusBypassedCoversSecureTraffic) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, TrafficConservation,
-                         ::testing::Values(sim::EncryptionScheme::kNone,
-                                           sim::EncryptionScheme::kDirect,
-                                           sim::EncryptionScheme::kCounter));
+                         ::testing::Values(std::pair{"baseline", "baseline"},
+                                           std::pair{"direct", "seal-d"},
+                                           std::pair{"counter", "seal-c"}));
 
 // ------------------------------------------------------ tile sweep checks ---
 

@@ -8,6 +8,7 @@
 
 #include "models/layer_spec.hpp"
 #include "sim/cache.hpp"
+#include "sim/functional_memory.hpp"
 #include "sim/mem_controller.hpp"
 #include "sim/scheme_registry.hpp"
 #include "verify/scheme_checkers.hpp"
@@ -47,20 +48,43 @@ TEST(SchemeRegistry, EveryFamilyHasCanonicalEntry) {
   for (const sim::EncryptionScheme family :
        {sim::EncryptionScheme::kNone, sim::EncryptionScheme::kDirect,
         sim::EncryptionScheme::kCounter}) {
-    const sim::SchemeInfo& canonical = sim::default_scheme_for(family);
-    EXPECT_EQ(canonical.family, family);
-    EXPECT_FALSE(canonical.selective());
-    EXPECT_STREQ(canonical.display, sim::scheme_name(family));
+    const sim::SchemeInfo* canonical = sim::find_scheme(sim::scheme_name(family));
+    ASSERT_NE(canonical, nullptr) << sim::scheme_name(family);
+    EXPECT_EQ(canonical->family, family);
+    EXPECT_FALSE(canonical->selective());
   }
 }
 
-TEST(SchemeRegistry, ApplySchemeWiresConfig) {
+TEST(SchemeRegistry, DefaultConfigRunsBaseline) {
+  const sim::GpuConfig config = sim::GpuConfig::gtx480();
+  ASSERT_NE(config.scheme, nullptr);
+  EXPECT_STREQ(config.scheme->cli_name, "baseline");
+  EXPECT_EQ(config.scheme, &sim::scheme_registry()[0]);
+}
+
+// One per-line rule: for every entry the timing controller and the
+// functional memory agree line by line, with no map and with a map that
+// marks one of the two probed lines.
+TEST(SchemeRegistry, ControllerAndFunctionalMemoryShareLineRule) {
+  sim::SecureMap map;
+  map.add_range(0x1000, 128);
+  const sim::SecureMap* maps[] = {nullptr, &map};
+  const crypto::Key128 key{};
   for (const sim::SchemeInfo& info : sim::scheme_registry()) {
     sim::GpuConfig config = sim::GpuConfig::gtx480();
-    sim::apply_scheme(info, config);
-    EXPECT_EQ(config.scheme, info.family);
-    EXPECT_EQ(config.selective, info.selective());
-    EXPECT_EQ(config.scheme_model, info.model);
+    config.scheme = &info;
+    for (const sim::SecureMap* m : maps) {
+      const sim::MemoryController mc(config, m);
+      const sim::FunctionalMemory memory(info, m, key);
+      for (const sim::Addr line : {sim::Addr{0x1000}, sim::Addr{0x2000}}) {
+        const bool expected =
+            info.family != sim::EncryptionScheme::kNone &&
+            (info.scope == sim::ProtectionScope::kAll || m == nullptr ||
+             line == 0x1000);
+        EXPECT_EQ(mc.needs_encryption(line), expected) << info.cli_name;
+        EXPECT_EQ(memory.line_is_secure(line), expected) << info.cli_name;
+      }
+    }
   }
 }
 
@@ -138,15 +162,13 @@ struct RunEvidence {
 RunEvidence run_with_audit(const sim::SchemeInfo& info) {
   const auto specs = models::resnet18_specs(64);
   sim::GpuConfig config = sim::GpuConfig::gtx480();
-  sim::apply_scheme(info, config);
+  config.scheme = &info;
   verify::BuildOptions build;
   build.selective = info.scope == sim::ProtectionScope::kPlanRows;
   RunEvidence out{verify::build_input(specs, build), {}, {}};
   verify::TaintAuditor auditor(&out.input);
   workload::RunOptions options;
   options.max_tiles_per_layer = 16;
-  options.selective = info.selective();
-  options.scope = info.scope;
   options.probe_hook = &auditor;
   const auto result = workload::run_network(specs, config, options);
   sim::SimStats total;
@@ -237,7 +259,7 @@ TEST(SchemeOracle, WeightsScopeInputHasNoSecureLinesYet) {
 // in counter_writeback_bytes (and reconcile: traffic == fill + wb + flush).
 TEST(CounterCacheEdges, EvictionWritebackBytesReconcile) {
   sim::GpuConfig config = sim::GpuConfig::gtx480();
-  sim::apply_scheme(*sim::find_scheme("counter"), config);
+  config.scheme = &sim::resolve_scheme("counter");
   config.counter_cache_kb = 1;  // 8 lines of 128B: tiny, thrashes fast
   sim::MemoryController mc(config, nullptr);
   // Each 128B data line holds 128/8 = 16 counters per counter line; stride
@@ -266,7 +288,7 @@ TEST(CounterCacheEdges, EvictionWritebackBytesReconcile) {
 // counter line even at the region boundary.
 TEST(CounterCacheEdges, NoAliasingAtCounterRegionBoundary) {
   sim::GpuConfig config = sim::GpuConfig::gtx480();
-  sim::apply_scheme(*sim::find_scheme("counter"), config);
+  config.scheme = &sim::resolve_scheme("counter");
   sim::MemoryController mc(config, nullptr);
   const sim::Addr low = 0x1000;
   const sim::Addr high =
@@ -283,7 +305,7 @@ TEST(CounterCacheEdges, NoAliasingAtCounterRegionBoundary) {
 
 TEST(CounterCacheEdges, FlushAfterFlushIsIdempotent) {
   sim::GpuConfig config = sim::GpuConfig::gtx480();
-  sim::apply_scheme(*sim::find_scheme("counter"), config);
+  config.scheme = &sim::resolve_scheme("counter");
   sim::MemoryController mc(config, nullptr);
   sim::Cycle now = mc.write_line(0, 0x2000);
   now = mc.write_line(now, 0x4000'2000);

@@ -12,6 +12,7 @@
 #include "serve/admission_queue.hpp"
 #include "serve/request_gen.hpp"
 #include "serve/server.hpp"
+#include "sim/scheme_registry.hpp"
 #include "telemetry/report.hpp"
 #include "verify/serve_checkers.hpp"
 #include "workload/batch_model.hpp"
@@ -230,7 +231,7 @@ TEST(BatchModel, EncryptionInflatesServiceTime) {
   const NamedNetwork net = tiny_net("tiny", 8);
   sim::GpuConfig plain = sim::GpuConfig::gtx480();
   sim::GpuConfig direct = sim::GpuConfig::gtx480();
-  direct.scheme = sim::EncryptionScheme::kDirect;
+  direct.scheme = &sim::resolve_scheme("direct");
   const ServiceModel model_plain({net}, plain, fast_options(), 1, 1, nullptr);
   const ServiceModel model_direct({net}, direct, fast_options(), 1, 1, nullptr);
   EXPECT_GT(model_direct.service_cycles(0, 1), model_plain.service_cycles(0, 1));

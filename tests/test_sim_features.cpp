@@ -4,6 +4,7 @@
 
 #include "crypto/engine_spec.hpp"
 #include "sim/gpu_simulator.hpp"
+#include "sim/scheme_registry.hpp"
 #include "workload/trace_common.hpp"
 
 namespace sealdl::sim {
@@ -109,7 +110,7 @@ TEST(SplitCounters, ImproveCounterModeIpcOnStridedStreams) {
   auto run = [](bool split) {
     GpuConfig config = GpuConfig::gtx480();
     config.num_sms = 4;
-    config.scheme = EncryptionScheme::kCounter;
+    config.scheme = &resolve_scheme("counter");
     config.counter_cache_kb = 24;
     config.split_counters = split;
     GpuSimulator sim(config);

@@ -6,6 +6,7 @@
 
 #include "attack/bus_snooper.hpp"
 #include "sim/gpu_simulator.hpp"
+#include "sim/scheme_registry.hpp"
 
 namespace sealdl::sim {
 namespace {
@@ -180,9 +181,9 @@ TEST(GpuSimulator, DeterministicAcrossRuns) {
 }
 
 TEST(GpuSimulator, FullEncryptionSlowsBandwidthBoundWork) {
-  auto run_scheme = [](EncryptionScheme scheme) {
+  auto run_scheme = [](const char* scheme) {
     GpuConfig config = GpuConfig::gtx480();
-    config.scheme = scheme;
+    config.scheme = &resolve_scheme(scheme);
     GpuSimulator sim(config);
     std::vector<WarpProgramPtr> programs;
     // Streaming loads, no reuse: purely bandwidth-bound.
@@ -200,9 +201,9 @@ TEST(GpuSimulator, FullEncryptionSlowsBandwidthBoundWork) {
     sim.run();
     return sim.stats();
   };
-  const SimStats plain = run_scheme(EncryptionScheme::kNone);
-  const SimStats direct = run_scheme(EncryptionScheme::kDirect);
-  const SimStats counter = run_scheme(EncryptionScheme::kCounter);
+  const SimStats plain = run_scheme("baseline");
+  const SimStats direct = run_scheme("direct");
+  const SimStats counter = run_scheme("counter");
   EXPECT_GT(direct.cycles, plain.cycles * 2);  // ~3.7x bandwidth gap
   EXPECT_GT(counter.cycles, plain.cycles * 2);
   EXPECT_GT(direct.ipc(), 0.0);
@@ -215,10 +216,9 @@ TEST(GpuSimulator, SelectiveEncryptionLandsBetween) {
   // Mark half of the stream secure (even lines).
   for (int i = 0; i < total_lines; i += 2) map.add_range(static_cast<Addr>(i) * 128, 128);
 
-  auto run_selective = [&](EncryptionScheme scheme, bool selective) {
+  auto run_selective = [&](const char* scheme) {
     GpuConfig config = GpuConfig::gtx480();
-    config.scheme = scheme;
-    config.selective = selective;
+    config.scheme = &resolve_scheme(scheme);
     GpuSimulator sim(config, &map);
     std::vector<WarpProgramPtr> programs;
     const int warps = config.num_sms * config.warps_per_sm;
@@ -235,9 +235,9 @@ TEST(GpuSimulator, SelectiveEncryptionLandsBetween) {
     sim.run();
     return sim.stats();
   };
-  const SimStats plain = run_selective(EncryptionScheme::kNone, false);
-  const SimStats full = run_selective(EncryptionScheme::kDirect, false);
-  const SimStats seal = run_selective(EncryptionScheme::kDirect, true);
+  const SimStats plain = run_selective("baseline");
+  const SimStats full = run_selective("direct");
+  const SimStats seal = run_selective("seal-d");
   EXPECT_LT(seal.cycles, full.cycles);
   EXPECT_GT(seal.cycles, plain.cycles);
   // Half the bytes bypassed.
@@ -256,7 +256,7 @@ TEST(GpuSimulator, CounterFlushDrainExtendsFinalCycle) {
   config.num_sms = 1;
   config.warps_per_sm = 1;
   config.num_channels = 1;
-  config.scheme = EncryptionScheme::kCounter;
+  config.scheme = &resolve_scheme("counter");
 
   GpuSimulator sim(config);
   attack::BusSnooper probe;

@@ -9,17 +9,16 @@
 namespace sealdl::sim {
 namespace {
 
-GpuConfig config_with(EncryptionScheme scheme, bool selective = false) {
+GpuConfig config_with(const char* scheme) {
   GpuConfig config = GpuConfig::gtx480();
-  config.scheme = scheme;
-  config.selective = selective;
+  config.scheme = &resolve_scheme(scheme);
   return config;
 }
 
 // -------------------------------------------------------- MemoryController ---
 
 TEST(MemController, BaselineReadIsDramOnly) {
-  const GpuConfig config = config_with(EncryptionScheme::kNone);
+  const GpuConfig config = config_with("baseline");
   MemoryController mc(config, nullptr);
   // 128B at 42.24*0.65 ~= 27.46 B/cycle ~= 4.66 cycles occupancy + 120
   // latency.
@@ -28,7 +27,7 @@ TEST(MemController, BaselineReadIsDramOnly) {
 }
 
 TEST(MemController, DirectReadAddsAesLatencyAndOccupancy) {
-  const GpuConfig config = config_with(EncryptionScheme::kDirect);
+  const GpuConfig config = config_with("direct");
   MemoryController mc(config, nullptr);
   const Cycle baseline_done = 125;  // from the baseline test above
   const Cycle done = mc.read_line(0, 0x1000);
@@ -41,7 +40,7 @@ TEST(MemController, DirectReadAddsAesLatencyAndOccupancy) {
 }
 
 TEST(MemController, CounterHitOverlapsAesWithDram) {
-  const GpuConfig config = config_with(EncryptionScheme::kCounter);
+  const GpuConfig config = config_with("counter");
   MemoryController mc(config, nullptr);
   // Warm the counter cache with a first access (miss).
   const Cycle first = mc.read_line(0, 0x1000);
@@ -58,7 +57,7 @@ TEST(MemController, CounterHitOverlapsAesWithDram) {
 }
 
 TEST(MemController, CounterMissCostsExtraDramTraffic) {
-  const GpuConfig config = config_with(EncryptionScheme::kCounter);
+  const GpuConfig config = config_with("counter");
   MemoryController mc(config, nullptr);
   // Touch many distinct counter lines: every access misses.
   for (int i = 0; i < 8; ++i) {
@@ -73,7 +72,7 @@ TEST(MemController, CounterMissCostsExtraDramTraffic) {
 TEST(MemController, SelectiveBypassesUnmarkedLines) {
   SecureMap map;
   map.add_range(0x1000, 128);
-  const GpuConfig config = config_with(EncryptionScheme::kDirect, /*selective=*/true);
+  const GpuConfig config = config_with("seal-d");
   MemoryController mc(config, &map);
   EXPECT_TRUE(mc.needs_encryption(0x1000));
   EXPECT_FALSE(mc.needs_encryption(0x2000));
@@ -87,16 +86,16 @@ TEST(MemController, SelectiveBypassesUnmarkedLines) {
 
 TEST(MemController, FullEncryptionIgnoresMap) {
   SecureMap map;  // empty: nothing marked
-  const GpuConfig config = config_with(EncryptionScheme::kDirect, /*selective=*/false);
+  const GpuConfig config = config_with("direct");
   MemoryController mc(config, &map);
   EXPECT_TRUE(mc.needs_encryption(0x9999000));
 }
 
 TEST(MemController, WritesConsumeAesBeforeDram) {
-  const GpuConfig config = config_with(EncryptionScheme::kDirect);
+  const GpuConfig config = config_with("direct");
   MemoryController mc(config, nullptr);
   const Cycle done = mc.write_line(0, 0x1000);
-  GpuConfig plain = config_with(EncryptionScheme::kNone);
+  GpuConfig plain = config_with("baseline");
   MemoryController mc_plain(plain, nullptr);
   EXPECT_GT(done, mc_plain.write_line(0, 0x1000));
 }
@@ -104,14 +103,14 @@ TEST(MemController, WritesConsumeAesBeforeDram) {
 TEST(MemController, AesBandwidthThrottlesStreams) {
   // Stream 100 lines through an encrypted controller: completion should be
   // bounded by AES bandwidth (~11.43 B/cycle), not DRAM (~42.24 B/cycle).
-  const GpuConfig config = config_with(EncryptionScheme::kDirect);
+  const GpuConfig config = config_with("direct");
   MemoryController mc(config, nullptr);
   Cycle done = 0;
   for (int i = 0; i < 100; ++i) done = mc.read_line(0, static_cast<Addr>(i) * 128);
   const double aes_bound = 100.0 * 128.0 / config.aes_bytes_per_cycle();
   EXPECT_GT(static_cast<double>(done), aes_bound);
 
-  MemoryController mc_plain(config_with(EncryptionScheme::kNone), nullptr);
+  MemoryController mc_plain(config_with("baseline"), nullptr);
   Cycle done_plain = 0;
   for (int i = 0; i < 100; ++i) {
     done_plain = mc_plain.read_line(0, static_cast<Addr>(i) * 128);
@@ -135,10 +134,10 @@ std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t seed = 1) {
   return v;
 }
 
-class FunctionalMemorySchemes : public ::testing::TestWithParam<EncryptionScheme> {};
+class FunctionalMemorySchemes : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(FunctionalMemorySchemes, ReadBackEqualsWritten) {
-  FunctionalMemory memory(GetParam(), false, nullptr, test_key());
+  FunctionalMemory memory(resolve_scheme(GetParam()), nullptr, test_key());
   const auto data = pattern(500);
   memory.write(0x1000, data);
   std::vector<std::uint8_t> out(500);
@@ -147,7 +146,7 @@ TEST_P(FunctionalMemorySchemes, ReadBackEqualsWritten) {
 }
 
 TEST_P(FunctionalMemorySchemes, PartialLineReadModifyWrite) {
-  FunctionalMemory memory(GetParam(), false, nullptr, test_key());
+  FunctionalMemory memory(resolve_scheme(GetParam()), nullptr, test_key());
   const auto base = pattern(256, 1);
   memory.write(0x1000, base);
   const auto patch = pattern(32, 99);
@@ -162,12 +161,10 @@ TEST_P(FunctionalMemorySchemes, PartialLineReadModifyWrite) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, FunctionalMemorySchemes,
-                         ::testing::Values(EncryptionScheme::kNone,
-                                           EncryptionScheme::kDirect,
-                                           EncryptionScheme::kCounter));
+                         ::testing::Values("baseline", "direct", "counter"));
 
 TEST(FunctionalMemory, RawLineIsCiphertextWhenSecure) {
-  FunctionalMemory memory(EncryptionScheme::kDirect, false, nullptr, test_key());
+  FunctionalMemory memory(resolve_scheme("direct"), nullptr, test_key());
   const auto data = pattern(128);
   memory.write(0x2000, data);
   const auto raw = memory.raw_line(0x2000);
@@ -178,7 +175,7 @@ TEST(FunctionalMemory, RawLineIsCiphertextWhenSecure) {
 }
 
 TEST(FunctionalMemory, RawLineIsPlaintextWhenInsecure) {
-  FunctionalMemory memory(EncryptionScheme::kNone, false, nullptr, test_key());
+  FunctionalMemory memory(resolve_scheme("baseline"), nullptr, test_key());
   const auto data = pattern(128);
   memory.write(0x2000, data);
   EXPECT_EQ(memory.raw_line(0x2000), data);
@@ -187,7 +184,7 @@ TEST(FunctionalMemory, RawLineIsPlaintextWhenInsecure) {
 TEST(FunctionalMemory, SelectiveEncryptsOnlyMarkedLines) {
   SecureMap map;
   map.add_range(0x3000, 128);
-  FunctionalMemory memory(EncryptionScheme::kDirect, true, &map, test_key());
+  FunctionalMemory memory(resolve_scheme("seal-d"), &map, test_key());
   const auto data = pattern(128);
   memory.write(0x3000, data);
   memory.write(0x3080, data);
@@ -196,7 +193,7 @@ TEST(FunctionalMemory, SelectiveEncryptsOnlyMarkedLines) {
 }
 
 TEST(FunctionalMemory, CounterModeRewriteChangesWireImage) {
-  FunctionalMemory memory(EncryptionScheme::kCounter, false, nullptr, test_key());
+  FunctionalMemory memory(resolve_scheme("counter"), nullptr, test_key());
   const auto data = pattern(128);
   memory.write(0x4000, data);
   const auto image1 = memory.raw_line(0x4000);
@@ -209,7 +206,7 @@ TEST(FunctionalMemory, CounterModeRewriteChangesWireImage) {
 }
 
 TEST(FunctionalMemory, ProbeSeesWireBytes) {
-  FunctionalMemory memory(EncryptionScheme::kDirect, false, nullptr, test_key());
+  FunctionalMemory memory(resolve_scheme("direct"), nullptr, test_key());
   attack::BusSnooper snooper;
   memory.set_probe(&snooper);
   const auto data = pattern(128);
@@ -232,7 +229,7 @@ TEST(MemController, SplitCountersCoverMoreDataPerCacheLine) {
   // counters.
   auto run = [](bool split) {
     GpuConfig config = GpuConfig::gtx480();
-    config.scheme = EncryptionScheme::kCounter;
+    config.scheme = &resolve_scheme("counter");
     config.split_counters = split;
     config.counter_cache_kb = 24;
     MemoryController mc(config, nullptr);
@@ -259,7 +256,7 @@ TEST(GpuConfigExt, CounterGeometry) {
 // ----------------------------------------- counter flush drain accounting ---
 
 TEST(MemController, FlushReturnsDrainCycleAndReconcilesBytes) {
-  const GpuConfig config = config_with(EncryptionScheme::kCounter);
+  const GpuConfig config = config_with("counter");
   MemoryController mc(config, nullptr);
   attack::BusSnooper probe;
   mc.set_probe(&probe);
@@ -297,7 +294,7 @@ TEST(MemController, FlushReturnsDrainCycleAndReconcilesBytes) {
 }
 
 TEST(MemController, FlushWithoutCounterCacheIsNoOp) {
-  MemoryController mc(config_with(EncryptionScheme::kDirect), nullptr);
+  MemoryController mc(config_with("direct"), nullptr);
   mc.write_line(0, 0x1000);
   EXPECT_EQ(mc.flush(500), 500u);
 }
@@ -306,7 +303,7 @@ TEST(MemController, SelectiveCounterDirtyFlushIsPlaintextAndCounted) {
   // SEAL mode (selective counter): only marked lines touch counters; flushed
   // counter lines must show up in counter_traffic_bytes and cross the bus as
   // plaintext writes (counters are not secret — only the pads they seed are).
-  const GpuConfig config = config_with(EncryptionScheme::kCounter, /*selective=*/true);
+  const GpuConfig config = config_with("seal-c");
   const Addr stride = static_cast<Addr>(config.line_bytes) *
                       static_cast<Addr>(config.counters_per_line());
   SecureMap map;

@@ -231,11 +231,9 @@ workload::NetworkResult timed_run(const AnalysisInput& input,
                                   TaintAuditor& auditor,
                                   std::uint64_t chunk_tiles = 0) {
   sim::GpuConfig config = sim::GpuConfig::gtx480();
-  sim::apply_scheme(scheme, config);
+  config.scheme = &scheme;
   workload::RunOptions options;
   options.max_tiles_per_layer = 8;
-  options.selective = scheme.selective();
-  options.scope = scheme.scope;
   options.plan = input.plan_options;
   options.jobs = jobs;
   options.chunk_tiles = chunk_tiles;
@@ -250,7 +248,7 @@ Report conformance(const sim::SchemeInfo& scheme, TaintAuditor& auditor,
   evidence.ledger = &auditor.ledger();
   for (const auto& layer : result.layers) evidence.stats.merge_from(layer.stats);
   evidence.config = sim::GpuConfig::gtx480();
-  sim::apply_scheme(scheme, evidence.config);
+  evidence.config.scheme = &scheme;
   return run_scheme_conformance(scheme, evidence);
 }
 

@@ -225,7 +225,6 @@ std::vector<models::LayerSpec> tiny_network() {
 workload::RunOptions tiny_options(telemetry::RunTelemetry* collect) {
   workload::RunOptions options;
   options.max_tiles_per_layer = 8;
-  options.selective = true;
   options.plan.encryption_ratio = 0.5;
   options.telemetry = collect;
   return options;
@@ -233,8 +232,7 @@ workload::RunOptions tiny_options(telemetry::RunTelemetry* collect) {
 
 sim::GpuConfig tiny_config() {
   sim::GpuConfig config = sim::GpuConfig::gtx480();
-  config.scheme = sim::EncryptionScheme::kCounter;
-  config.selective = true;
+  config.scheme = &sim::resolve_scheme("seal-c");
   return config;
 }
 

@@ -30,6 +30,7 @@
 #include "sim/gpu_simulator.hpp"
 #include "sim/l2_slice.hpp"
 #include "sim/mem_controller.hpp"
+#include "sim/scheme_registry.hpp"
 #include "sim/warp_program.hpp"
 
 namespace sealdl::sim {
@@ -192,12 +193,12 @@ void expect_stats_identical(const SimStats& a, const SimStats& b) {
 }
 
 class MemoryStackSkipProperty
-    : public ::testing::TestWithParam<std::tuple<EncryptionScheme, int>> {};
+    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
 
 TEST_P(MemoryStackSkipProperty, SkippedPresentationMatchesPerCycle) {
   const auto& [scheme, seed] = GetParam();
   GpuConfig config = GpuConfig::gtx480();
-  config.scheme = scheme;
+  config.scheme = &resolve_scheme(scheme);
 
   const auto stream = make_stream(static_cast<std::uint64_t>(seed), 600);
   const auto per_cycle = run_stream(config, stream, /*skip=*/false);
@@ -208,17 +209,11 @@ TEST_P(MemoryStackSkipProperty, SkippedPresentationMatchesPerCycle) {
 
 INSTANTIATE_TEST_SUITE_P(
     SchemesAndSeeds, MemoryStackSkipProperty,
-    ::testing::Combine(::testing::Values(EncryptionScheme::kNone,
-                                         EncryptionScheme::kDirect,
-                                         EncryptionScheme::kCounter),
+    ::testing::Combine(::testing::Values("baseline", "direct", "counter"),
                        ::testing::Values(1, 2, 3, 4)),
     [](const ::testing::TestParamInfo<MemoryStackSkipProperty::ParamType>&
            info) {
-      const char* scheme =
-          std::get<0>(info.param) == EncryptionScheme::kNone     ? "baseline"
-          : std::get<0>(info.param) == EncryptionScheme::kDirect ? "direct"
-                                                                 : "counter";
-      return std::string(scheme) + "_seed" +
+      return std::string(std::get<0>(info.param)) + "_seed" +
              std::to_string(std::get<1>(info.param));
     });
 
@@ -275,12 +270,12 @@ SimStats run_random_machine(const GpuConfig& config, std::uint64_t seed,
 }
 
 class RandomMachineFastPath
-    : public ::testing::TestWithParam<std::tuple<EncryptionScheme, int>> {};
+    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
 
 TEST_P(RandomMachineFastPath, FastPathMatchesNaiveOnRandomPrograms) {
   const auto& [scheme, seed] = GetParam();
   GpuConfig config = GpuConfig::gtx480();
-  config.scheme = scheme;
+  config.scheme = &resolve_scheme(scheme);
   // Under-filled machine: some SMs get fewer warps (or none), so the per-SM
   // may_issue() skip and the pending-launch gate both matter.
   const int warps = config.num_sms * 2 + 3;
@@ -297,15 +292,11 @@ TEST_P(RandomMachineFastPath, FastPathMatchesNaiveOnRandomPrograms) {
 
 INSTANTIATE_TEST_SUITE_P(
     SchemesAndSeeds, RandomMachineFastPath,
-    ::testing::Combine(::testing::Values(EncryptionScheme::kNone,
-                                         EncryptionScheme::kCounter),
+    ::testing::Combine(::testing::Values("baseline", "counter"),
                        ::testing::Values(11, 12, 13)),
     [](const ::testing::TestParamInfo<RandomMachineFastPath::ParamType>&
            info) {
-      const char* scheme = std::get<0>(info.param) == EncryptionScheme::kNone
-                               ? "baseline"
-                               : "counter";
-      return std::string(scheme) + "_seed" +
+      return std::string(std::get<0>(info.param)) + "_seed" +
              std::to_string(std::get<1>(info.param));
     });
 

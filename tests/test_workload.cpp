@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/model_layout.hpp"
+#include "sim/scheme_registry.hpp"
 #include "workload/gemm_trace.hpp"
 #include "workload/layer_trace.hpp"
 #include "workload/network_runner.hpp"
@@ -188,22 +189,60 @@ TEST(NetworkRunner, SchemesOrderOnSmallNetwork) {
   RunOptions options;
   options.max_tiles_per_layer = 60;
 
-  auto run_scheme = [&](sim::EncryptionScheme scheme, bool selective) {
+  auto run_scheme = [&](const char* scheme) {
     sim::GpuConfig config = sim::GpuConfig::gtx480();
-    config.scheme = scheme;
-    RunOptions local = options;
-    local.selective = selective;
-    return run_network(specs, config, local);
+    config.scheme = &sim::resolve_scheme(scheme);
+    return run_network(specs, config, options);
   };
-  const auto baseline = run_scheme(sim::EncryptionScheme::kNone, false);
-  const auto direct = run_scheme(sim::EncryptionScheme::kDirect, false);
-  const auto seal = run_scheme(sim::EncryptionScheme::kDirect, true);
+  const auto baseline = run_scheme("baseline");
+  const auto direct = run_scheme("direct");
+  const auto seal = run_scheme("seal-d");
 
   EXPECT_EQ(baseline.layers.size(), specs.size());
   EXPECT_GT(baseline.overall_ipc(), 0.0);
   // Full encryption slower than SEAL slower than baseline.
   EXPECT_GT(direct.total_cycles(), seal.total_cycles());
   EXPECT_GT(seal.total_cycles(), baseline.total_cycles());
+}
+
+// The config's registry entry alone selects what a run protects: with default
+// RunOptions every scheme's encrypted/bypassed split follows its scope. (A
+// runner that re-derived selectivity from the options would silently run the
+// selective schemes as full encryption.)
+TEST(NetworkRunner, RegistryEntryAloneSetsProtectionScope) {
+  // Five CONVs: past the plan's two full head convs and one full tail conv,
+  // the body layers run at the default 50% ratio.
+  std::vector<models::LayerSpec> specs(5);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    specs[i].name = "conv" + std::to_string(i + 1);
+    specs[i].in_channels = specs[i].out_channels = 32;
+    specs[i].in_h = specs[i].in_w = 16;
+  }
+  for (const sim::SchemeInfo& entry : sim::scheme_registry()) {
+    sim::GpuConfig config = sim::GpuConfig::gtx480();
+    config.scheme = &entry;
+    std::uint64_t encrypted = 0;
+    std::uint64_t bypassed = 0;
+    for (const auto& layer : run_network(specs, config, RunOptions{}).layers) {
+      encrypted += layer.stats.encrypted_bytes;
+      bypassed += layer.stats.bypassed_bytes;
+    }
+    SCOPED_TRACE(entry.cli_name);
+    switch (entry.scope) {
+      case sim::ProtectionScope::kNone:
+        EXPECT_EQ(encrypted, 0u);
+        break;
+      case sim::ProtectionScope::kAll:
+        EXPECT_GT(encrypted, 0u);
+        EXPECT_EQ(bypassed, 0u);
+        break;
+      case sim::ProtectionScope::kPlanRows:
+      case sim::ProtectionScope::kWeights:
+        EXPECT_GT(encrypted, 0u);
+        EXPECT_GT(bypassed, 0u);
+        break;
+    }
+  }
 }
 
 TEST(NetworkRunner, LayerFilterSelectsSubset) {

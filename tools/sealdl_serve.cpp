@@ -67,19 +67,6 @@ using namespace sealdl;
 
 namespace {
 
-/// Resolves a CLI scheme name through the shared registry
-/// (sim/scheme_registry.hpp) — the same table sealdl-sim and the benches use,
-/// so the accepted set can never drift between the tools.
-const sim::SchemeInfo& parse_scheme(const std::string& name) {
-  if (const sim::SchemeInfo* entry = sim::find_scheme(name)) return *entry;
-  std::string names;
-  for (const sim::SchemeInfo& info : sim::scheme_registry()) {
-    if (!names.empty()) names += '|';
-    names += info.cli_name;
-  }
-  throw std::invalid_argument("unknown --scheme " + name + " (" + names + ")");
-}
-
 std::vector<std::string> split_csv(const std::string& csv) {
   std::vector<std::string> out;
   std::size_t begin = 0;
@@ -121,7 +108,7 @@ int run(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   const std::string networks_csv = flags.get("networks", "vgg16");
   const std::string scheme_name = flags.get("scheme", "baseline");
-  const sim::SchemeInfo& entry = parse_scheme(scheme_name);
+  const sim::SchemeInfo& entry = sim::resolve_scheme(scheme_name);
   const double ratio = flags.get_double("ratio", 0.5);
   const auto tiles = static_cast<std::uint64_t>(flags.get_int("tiles", 480));
   const int jobs = static_cast<int>(flags.get_int("jobs", 1));
@@ -184,7 +171,7 @@ int run(int argc, char** argv) {
   }
 
   sim::GpuConfig config = sim::GpuConfig::gtx480();
-  sim::apply_scheme(entry, config);
+  config.scheme = &entry;
 
   // With --inject, --json names the injection ledger, not the run report.
   const std::string json_path = flags.get("json", "");
@@ -209,8 +196,6 @@ int run(int argc, char** argv) {
 
   workload::RunOptions run_options;
   run_options.max_tiles_per_layer = tiles;
-  run_options.selective = entry.selective();
-  run_options.scope = entry.scope;
   run_options.plan.encryption_ratio = ratio;
 
   const serve::ServiceModel model(networks, config, run_options,

@@ -76,18 +76,6 @@ using namespace sealdl;
 
 namespace {
 
-/// Resolves a CLI scheme name through the shared registry; the error message
-/// enumerates the registry so it can never drift from the accepted set.
-const sim::SchemeInfo& parse_scheme(const std::string& name) {
-  if (const sim::SchemeInfo* entry = sim::find_scheme(name)) return *entry;
-  std::string names;
-  for (const sim::SchemeInfo& info : sim::scheme_registry()) {
-    if (!names.empty()) names += '|';
-    names += info.cli_name;
-  }
-  throw std::invalid_argument("unknown --scheme " + name + " (" + names + ")");
-}
-
 void print_stats(const sim::SimStats& stats, double scale,
                  const sim::GpuConfig& config) {
   util::Table table({"metric", "value"});
@@ -102,7 +90,8 @@ void print_stats(const sim::SimStats& stats, double scale,
   table.add_row({"DRAM read", util::Table::fmt(static_cast<double>(stats.dram_read_bytes) / 1e6, 2) + " MB"});
   table.add_row({"DRAM write", util::Table::fmt(static_cast<double>(stats.dram_write_bytes) / 1e6, 2) + " MB"});
   table.add_row({"DRAM utilization", util::Table::pct(sim::dram_utilization(stats, config))});
-  if (config.scheme != sim::EncryptionScheme::kNone) {
+  const sim::EncryptionScheme family = config.scheme->family;
+  if (family != sim::EncryptionScheme::kNone) {
     table.add_row({"encrypted bytes",
                    util::Table::fmt(static_cast<double>(stats.encrypted_bytes) / 1e6, 2) + " MB"});
     table.add_row({"bypassed bytes",
@@ -111,7 +100,7 @@ void print_stats(const sim::SimStats& stats, double scale,
     // --engines ablations report honestly.
     table.add_row({"AES utilization", util::Table::pct(sim::aes_utilization(stats, config))});
   }
-  if (config.scheme == sim::EncryptionScheme::kCounter) {
+  if (family == sim::EncryptionScheme::kCounter) {
     table.add_row({"counter-cache hit rate", util::Table::pct(stats.counter_hit_rate())});
     table.add_row({"counter traffic",
                    util::Table::fmt(static_cast<double>(stats.counter_traffic_bytes) / 1e6, 2) + " MB"});
@@ -158,12 +147,12 @@ verify::StagedInjection stage_injection(verify::Injection injection,
 int run(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   const std::string workload = flags.get("workload", "vgg16");
-  const sim::SchemeInfo& entry = parse_scheme(flags.get("scheme", "baseline"));
+  const sim::SchemeInfo& entry = sim::resolve_scheme(flags.get("scheme", "baseline"));
   const double ratio = flags.get_double("ratio", 0.5);
   const auto tiles = static_cast<std::uint64_t>(flags.get_int("tiles", 480));
 
   sim::GpuConfig config = sim::GpuConfig::gtx480();
-  sim::apply_scheme(entry, config);
+  config.scheme = &entry;
   config.counter_cache_kb = static_cast<int>(flags.get_int("counter-cache-kb", 96));
   config.split_counters = flags.get_bool("split-counters", false);
   config.engines_per_controller = static_cast<int>(flags.get_int("engines", 1));
@@ -212,8 +201,6 @@ int run(int argc, char** argv) {
 
   workload::RunOptions options;
   options.max_tiles_per_layer = tiles;
-  options.selective = entry.selective();
-  options.scope = entry.scope;
   options.plan.encryption_ratio = ratio;
   options.telemetry = collect.get();
   // Parallel per-layer simulation (0 = one worker per hardware thread).
@@ -261,8 +248,8 @@ int run(int argc, char** argv) {
     }
     simulator.run();
     std::printf("GEMM %dx%dx%d, scheme %s%s\n", spec.m, spec.n, spec.k,
-                sim::scheme_name(config.scheme),
-                config.selective ? " (SEAL selective)" : "");
+                sim::scheme_name(entry.family),
+                entry.selective() ? " (SEAL selective)" : "");
     const double scale = static_cast<double>(spec.total_tiles()) /
                          static_cast<double>(std::min<std::uint64_t>(
                              tiles ? tiles : spec.total_tiles(), spec.total_tiles()));
@@ -305,8 +292,8 @@ int run(int argc, char** argv) {
     }
     const auto result = workload::run_single_layer(spec, config, options);
     std::printf("%s layer, scheme %s%s\n", workload.c_str(),
-                sim::scheme_name(config.scheme),
-                config.selective ? " (SEAL selective)" : "");
+                sim::scheme_name(entry.family),
+                entry.selective() ? " (SEAL selective)" : "");
     print_stats(result.stats, result.scale, config);
   } else {
     const int input = static_cast<int>(flags.get_int("input", 224));
@@ -327,8 +314,8 @@ int run(int argc, char** argv) {
     }
     const auto result = workload::run_network(specs, config, options);
     std::printf("%s (%d x %d input), scheme %s%s\n", workload.c_str(), input, input,
-                sim::scheme_name(config.scheme),
-                config.selective ? " (SEAL selective)" : "");
+                sim::scheme_name(entry.family),
+                entry.selective() ? " (SEAL selective)" : "");
     util::Table per_layer({"layer", "IPC", "full cycles"});
     for (const auto& layer : result.layers) {
       per_layer.add_row({layer.name, util::Table::fmt(layer.ipc(), 1),
@@ -359,7 +346,7 @@ int run(int argc, char** argv) {
         json.field("schema_version", 1);
         json.field("workload", workload);
         json.field("scheme", info.scheme);
-        json.field("selective", config.selective);
+        json.field("selective", entry.selective());
         json.field("encryption_ratio", ratio);
         json.key("ledger");
         ledger.write_json(json);
@@ -382,9 +369,6 @@ int run(int argc, char** argv) {
   }
 
   if (collect) {
-    // run_specs() applies the scheme's selectivity before simulating; mirror
-    // it so the exported config matches what actually ran.
-    config.selective = entry.selective();
     info.provenance = telemetry::make_provenance(config, options.jobs,
                                                  {flags.get("scheme", "baseline")});
     info.provenance.fast_path = options.fast_path;
