@@ -1,5 +1,7 @@
-# ctest gate: the five paper schemes must stay byte-identical to the goldens
-# captured before the pluggable SchemeModel refactor. Each scheme re-runs the
+# ctest gate: every registry entry — the five paper schemes, captured before
+# the pluggable SchemeModel refactor, and the Seculator and GuardNN rivals,
+# captured before the layer directory moved into core::ModelLayout — must
+# stay byte-identical to its golden. Each scheme re-runs the
 # golden command and compares both artifacts — the profiled JSON run report
 # (cycle counts, per-layer stats, cycle profile) and the scheme-audit ledger
 # (byte provenance + digest + findings) — against tests/golden/.
@@ -22,7 +24,7 @@ function(neutralize_host_cores path out_var)
   set(${out_var} "${contents}" PARENT_SCOPE)
 endfunction()
 
-foreach(scheme baseline direct counter seal-d seal-c)
+foreach(scheme baseline direct counter seal-d seal-c seculator guardnn)
   execute_process(
     COMMAND ${SIM_BIN} --workload resnet18 --input 96 --scheme ${scheme}
             --ratio 0.5 --tiles 48 --profile
@@ -37,7 +39,7 @@ foreach(scheme baseline direct counter seal-d seal-c)
   neutralize_host_cores(${GOLDEN_DIR}/scheme_${scheme}.report.json want_report)
   neutralize_host_cores(${OUT_DIR}/golden_${scheme}.report.json got_report)
   if(NOT want_report STREQUAL got_report)
-    message(FATAL_ERROR "scheme ${scheme}: run report drifted from ${GOLDEN_DIR}/scheme_${scheme}.report.json — the SchemeModel refactor changed simulation results")
+    message(FATAL_ERROR "scheme ${scheme}: run report drifted from ${GOLDEN_DIR}/scheme_${scheme}.report.json — a refactor changed simulation results")
   endif()
 
   # Ledgers carry no provenance; they must match byte for byte.
@@ -49,4 +51,4 @@ foreach(scheme baseline direct counter seal-d seal-c)
   message(STATUS "golden ${scheme} OK (report + ledger byte-identical)")
 endforeach()
 
-message(STATUS "scheme goldens OK: 5 schemes byte-identical pre/post refactor")
+message(STATUS "scheme goldens OK: 7 schemes byte-identical pre/post refactor")
