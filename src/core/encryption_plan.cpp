@@ -154,8 +154,7 @@ EncryptionPlan EncryptionPlan::for_specs(const std::vector<models::LayerSpec>& s
   std::vector<bool> is_conv;
   for (const auto& s : specs) {
     if (s.type == models::LayerSpec::Type::kPool) continue;
-    rows.push_back(s.type == models::LayerSpec::Type::kConv ? s.in_channels
-                                                            : s.in_features);
+    rows.push_back(s.weight_rows());
     is_conv.push_back(s.type == models::LayerSpec::Type::kConv);
   }
   return from_row_counts(rows, is_conv, options);

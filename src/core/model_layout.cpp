@@ -1,5 +1,6 @@
 #include "core/model_layout.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace sealdl::core {
@@ -14,146 +15,173 @@ std::uint64_t align_line(std::uint64_t bytes) {
 
 using models::LayerSpec;
 
+/// Marks unit u of the buffer at `base` secure iff plan row u is encrypted,
+/// for u < count, and returns the bytes marked. A run of consecutive
+/// encrypted rows goes to the map as one range: the map would coalesce the
+/// rows anyway, so the result is the same at one update per run, not per row.
+std::uint64_t mark_encrypted_rows(SecureHeap& heap, sim::Addr base,
+                                  std::uint64_t pitch, int count,
+                                  const LayerPlan& plan) {
+  std::uint64_t marked = 0;
+  for (int begin = 0; begin < count;) {
+    if (!plan.row_encrypted(begin)) {
+      ++begin;
+      continue;
+    }
+    int end = begin + 1;
+    while (end < count && plan.row_encrypted(end)) ++end;
+    const std::uint64_t bytes = pitch * static_cast<std::uint64_t>(end - begin);
+    heap.mark_secure(base + pitch * static_cast<std::uint64_t>(begin), bytes);
+    marked += bytes;
+    begin = end;
+  }
+  return marked;
+}
+
 }  // namespace
+
+std::vector<int> ModelLayout::plan_indices(const std::vector<LayerSpec>& specs) {
+  std::vector<int> index(specs.size(), -1);
+  int weight_idx = 0;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (specs[i].type != LayerSpec::Type::kPool) index[i] = weight_idx++;
+  }
+  return index;
+}
 
 ModelLayout::ModelLayout(const std::vector<LayerSpec>& specs,
                          const EncryptionPlan* plan, SecureHeap& heap) {
-  // Map spec index -> plan index (plan covers weight layers only).
-  std::vector<int> plan_index(specs.size(), -1);
-  {
-    int weight_idx = 0;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (specs[i].type != LayerSpec::Type::kPool) plan_index[i] = weight_idx++;
-    }
-    if (plan && static_cast<std::size_t>(weight_idx) != plan->layer_count()) {
+  if (specs.empty()) throw std::invalid_argument("ModelLayout: empty spec chain");
+  plan_index_ = plan_indices(specs);
+  // For fmap f (input of spec i), the consuming weight layer is the first
+  // CONV/FC at index >= i; pools forward their input channels untouched.
+  consumer_index_.assign(specs.size() + 1, -1);
+  for (std::size_t i = specs.size(); i-- > 0;) {
+    consumer_index_[i] = plan_index_[i] >= 0 ? plan_index_[i] : consumer_index_[i + 1];
+  }
+  if (plan) {
+    const auto weight_layers = static_cast<std::size_t>(
+        std::count_if(plan_index_.begin(), plan_index_.end(), [](int p) { return p >= 0; }));
+    if (weight_layers != plan->layer_count()) {
       throw std::invalid_argument("ModelLayout: plan/spec weight-layer mismatch");
     }
   }
 
-  // For fmap f (input of spec i), the consuming weight layer is the first
-  // CONV/FC at index >= i; pools forward their input channels untouched.
-  auto consumer_plan = [&](std::size_t spec_idx) -> const LayerPlan* {
-    if (!plan) return nullptr;
-    for (std::size_t j = spec_idx; j < specs.size(); ++j) {
-      if (plan_index[j] >= 0) return &plan->layer(static_cast<std::size_t>(plan_index[j]));
-    }
-    return nullptr;
+  // Places `units` line-aligned units of `unit_bytes` each and records the
+  // buffer in the directory; the bump heap hands out ascending addresses, so
+  // the directory stays sorted.
+  auto place = [&](Region::Kind kind, std::size_t spec_index, int units,
+                   std::uint64_t unit_bytes, std::string name) -> Region& {
+    Region region;
+    region.kind = kind;
+    region.spec_index = spec_index;
+    region.units = units;
+    region.pitch = align_line(unit_bytes);
+    const std::uint64_t size = region.pitch * static_cast<std::uint64_t>(units);
+    region.begin = heap.malloc(size).addr;
+    region.end = region.begin + size;
+    region.name = std::move(name);
+    total_bytes_ += size;
+    directory_.push_back(std::move(region));
+    return directory_.back();
   };
 
-  // Allocate fmap buffers: fmaps[i] is the input of layer i; fmaps[n] is the
-  // network output. Channel pitch is line-aligned. FC fmaps are modeled as
-  // one channel per feature row group; we treat the whole feature vector as
-  // channels of 1 element to reuse the channel machinery.
-  struct Fmap {
-    sim::Addr base = 0;
-    std::uint64_t channel_pitch = 0;
-    int channels = 0;
-  };
-  std::vector<Fmap> fmaps(specs.size() + 1);
-
-  auto alloc_fmap = [&](int channels, std::uint64_t bytes_per_channel) {
-    Fmap f;
-    f.channels = channels;
-    f.channel_pitch = align_line(bytes_per_channel);
-    f.base = heap.malloc(f.channel_pitch * static_cast<std::uint64_t>(channels)).addr;
-    total_bytes_ += f.channel_pitch * static_cast<std::uint64_t>(channels);
-    return f;
-  };
-
-  for (std::size_t i = 0; i < specs.size(); ++i) {
+  // Allocate fmap buffers: directory_[i] is the input of layer i and
+  // directory_[n] the network output. Channel pitch is line-aligned. FC
+  // vectors are one dense "channel" of 4-byte features (32 per line).
+  const std::size_t n = specs.size();
+  directory_.reserve(2 * n + 1);
+  for (std::size_t i = 0; i < n; ++i) {
     const LayerSpec& s = specs[i];
     if (s.type == LayerSpec::Type::kFc) {
-      // Feature vector: channels = in_features, 4 bytes each (pitch merges
-      // them into lines; 32 features per line).
-      fmaps[i] = alloc_fmap(1, static_cast<std::uint64_t>(s.in_features) * 4);
+      place(Region::Kind::kFmap, i, 1, static_cast<std::uint64_t>(s.in_features) * 4,
+            s.name + ".in")
+          .dense_fc = true;
     } else {
-      fmaps[i] = alloc_fmap(s.in_channels,
-                            static_cast<std::uint64_t>(s.in_h) * static_cast<std::uint64_t>(s.in_w) * 4);
+      place(Region::Kind::kFmap, i, s.in_channels,
+            static_cast<std::uint64_t>(s.in_h) * static_cast<std::uint64_t>(s.in_w) * 4,
+            s.name + ".in");
     }
   }
-  // Output of the last layer.
-  {
-    const LayerSpec& last = specs.back();
-    if (last.type == LayerSpec::Type::kFc) {
-      fmaps[specs.size()] = alloc_fmap(1, static_cast<std::uint64_t>(last.out_features) * 4);
-    } else {
-      fmaps[specs.size()] =
-          alloc_fmap(last.out_channels,
-                     static_cast<std::uint64_t>(last.out_h()) * static_cast<std::uint64_t>(last.out_w()) * 4);
-    }
+  const LayerSpec& last = specs.back();
+  if (last.type == LayerSpec::Type::kFc) {
+    place(Region::Kind::kFmap, n, 1, static_cast<std::uint64_t>(last.out_features) * 4,
+          "output")
+        .dense_fc = true;
+  } else {
+    place(Region::Kind::kFmap, n, last.out_channels,
+          static_cast<std::uint64_t>(last.out_h()) * static_cast<std::uint64_t>(last.out_w()) * 4,
+          "output");
   }
 
   // Mark encrypted fmap channels per the consumer rule.
   if (plan) {
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      const LayerPlan* lp = consumer_plan(i);
-      if (!lp) continue;
-      const Fmap& f = fmaps[i];
-      if (specs[i].type == LayerSpec::Type::kFc) {
-        // Feature-granular: mark each encrypted feature's 4 bytes; the
-        // SecureMap coalesces and the line rule captures mixed lines.
-        for (int r = 0; r < lp->rows; ++r) {
-          if (!lp->row_encrypted(r)) continue;
-          heap.mark_secure(f.base + static_cast<std::uint64_t>(r) * 4, 4);
-          secure_bytes_ += 4;
-        }
-      } else {
-        const int channels = std::min(f.channels, lp->rows);
-        for (int c = 0; c < channels; ++c) {
-          if (!lp->row_encrypted(c)) continue;
-          heap.mark_secure(f.base + static_cast<std::uint64_t>(c) * f.channel_pitch,
-                           f.channel_pitch);
-          secure_bytes_ += f.channel_pitch;
-        }
-      }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (consumer_index_[i] < 0) continue;
+      const LayerPlan& lp = plan->layer(static_cast<std::size_t>(consumer_index_[i]));
+      const Region& f = directory_[i];
+      // Dense FC vectors are feature-granular (4 bytes per feature; the line
+      // rule captures mixed lines), other fmaps channel-granular.
+      secure_bytes_ +=
+          f.dense_fc ? mark_encrypted_rows(heap, f.begin, 4, lp.rows, lp)
+                     : mark_encrypted_rows(heap, f.begin, f.pitch,
+                                           std::min(f.units, lp.rows), lp);
     }
     // The network output is always encrypted under SEAL.
-    const Fmap& out = fmaps[specs.size()];
-    heap.mark_secure(out.base, out.channel_pitch * static_cast<std::uint64_t>(out.channels));
-    secure_bytes_ += out.channel_pitch * static_cast<std::uint64_t>(out.channels);
+    const Region& out = directory_[n];
+    heap.mark_secure(out.begin, out.end - out.begin);
+    secure_bytes_ += out.end - out.begin;
   }
 
   // Allocate weights (input-channel-major rows) and assemble addressing.
-  for (std::size_t i = 0; i < specs.size(); ++i) {
+  layers_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
     const LayerSpec& s = specs[i];
     LayerAddressing addressing;
     addressing.spec = s;
-    addressing.ifmap_base = fmaps[i].base;
-    addressing.ifmap_channel_pitch = fmaps[i].channel_pitch;
-    addressing.ifmap_channels = fmaps[i].channels;
-    addressing.ofmap_base = fmaps[i + 1].base;
-    addressing.ofmap_channel_pitch = fmaps[i + 1].channel_pitch;
-    addressing.ofmap_channels = fmaps[i + 1].channels;
+    addressing.ifmap_base = directory_[i].begin;
+    addressing.ifmap_channel_pitch = directory_[i].pitch;
+    addressing.ifmap_channels = directory_[i].units;
+    addressing.ofmap_base = directory_[i + 1].begin;
+    addressing.ofmap_channel_pitch = directory_[i + 1].pitch;
+    addressing.ofmap_channels = directory_[i + 1].units;
 
-    if (s.type != LayerSpec::Type::kPool) {
-      int rows, row_payload;
-      if (s.type == LayerSpec::Type::kConv) {
-        rows = s.in_channels;
-        row_payload = s.out_channels * s.kernel * s.kernel * 4;
-      } else {
-        rows = s.in_features;
-        row_payload = s.out_features * 4;
-      }
+    if (plan_index_[i] >= 0) {
+      const int rows = s.weight_rows();
+      const int row_payload = s.type == LayerSpec::Type::kConv
+                                  ? s.out_channels * s.kernel * s.kernel * 4
+                                  : s.out_features * 4;
       addressing.weight_row_bytes = static_cast<std::uint64_t>(row_payload);
-      addressing.weight_row_pitch = align_line(addressing.weight_row_bytes);
-      const std::uint64_t size =
-          addressing.weight_row_pitch * static_cast<std::uint64_t>(rows);
-      addressing.weight_base = heap.malloc(size).addr;
-      total_bytes_ += size;
+      const Region& weights = place(Region::Kind::kWeights, i, rows,
+                                    addressing.weight_row_bytes, s.name + ".weights");
+      addressing.weight_base = weights.begin;
+      addressing.weight_row_pitch = weights.pitch;
 
       if (plan) {
-        const LayerPlan& lp = plan->layer(static_cast<std::size_t>(plan_index[i]));
-        for (int r = 0; r < rows && r < lp.rows; ++r) {
-          if (!lp.row_encrypted(r)) continue;
-          heap.mark_secure(
-              addressing.weight_base + static_cast<std::uint64_t>(r) * addressing.weight_row_pitch,
-              addressing.weight_row_pitch);
-          secure_bytes_ += addressing.weight_row_pitch;
-        }
+        const LayerPlan& lp = plan->layer(static_cast<std::size_t>(plan_index_[i]));
+        secure_bytes_ += mark_encrypted_rows(heap, weights.begin, weights.pitch,
+                                             std::min(rows, lp.rows), lp);
       }
     }
-    layers_.push_back(addressing);
+    layers_.push_back(std::move(addressing));
   }
+}
+
+const Region* ModelLayout::region_at(sim::Addr addr) const {
+  auto it = std::upper_bound(
+      directory_.begin(), directory_.end(), addr,
+      [](sim::Addr a, const Region& region) { return a < region.begin; });
+  if (it == directory_.begin()) return nullptr;
+  --it;
+  return addr < it->end ? &*it : nullptr;
+}
+
+int ModelLayout::plan_index(std::size_t spec_index) const {
+  return spec_index < plan_index_.size() ? plan_index_[spec_index] : -1;
+}
+
+int ModelLayout::consumer_plan_index(std::size_t spec_index) const {
+  return spec_index < consumer_index_.size() ? consumer_index_[spec_index] : -1;
 }
 
 }  // namespace sealdl::core

@@ -36,6 +36,13 @@ struct LayerSpec {
   [[nodiscard]] int out_h() const { return (in_h + 2 * padding - kernel) / stride + 1; }
   [[nodiscard]] int out_w() const { return (in_w + 2 * padding - kernel) / stride + 1; }
 
+  /// Kernel rows of a weight layer: input channels (CONV) or input features
+  /// (FC); 0 for POOL. Row r only ever meets input-fmap channel r (§III-A),
+  /// so this is also the unit count of an encryption plan layer.
+  [[nodiscard]] int weight_rows() const {
+    return type == Type::kConv ? in_channels : type == Type::kFc ? in_features : 0;
+  }
+
   /// Multiply-accumulate count of the layer (for IPC/latency scaling).
   [[nodiscard]] std::uint64_t macs() const;
 

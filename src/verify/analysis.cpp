@@ -15,52 +15,6 @@ bool ends_with(const std::string& s, const char* suffix) {
   return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
 }
 
-void derive_regions(AnalysisInput& input) {
-  const auto& layers = input.layout->layers();
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    const auto& layer = layers[i];
-    const LayerSpec& s = input.specs[i];
-    Region fmap;
-    fmap.kind = Region::Kind::kFmap;
-    fmap.begin = layer.ifmap_base;
-    fmap.pitch = layer.ifmap_channel_pitch;
-    fmap.units = layer.ifmap_channels;
-    fmap.end = fmap.begin + fmap.pitch * static_cast<std::uint64_t>(fmap.units);
-    fmap.spec_index = i;
-    fmap.dense_fc = s.type == LayerSpec::Type::kFc;
-    fmap.name = s.name + ".in";
-    input.regions.push_back(fmap);
-
-    if (s.type != LayerSpec::Type::kPool) {
-      Region weights;
-      weights.kind = Region::Kind::kWeights;
-      weights.begin = layer.weight_base;
-      weights.pitch = layer.weight_row_pitch;
-      weights.units =
-          s.type == LayerSpec::Type::kConv ? s.in_channels : s.in_features;
-      weights.end =
-          weights.begin + weights.pitch * static_cast<std::uint64_t>(weights.units);
-      weights.spec_index = i;
-      weights.name = s.name + ".weights";
-      input.regions.push_back(weights);
-    }
-  }
-  const auto& last = layers.back();
-  Region out;
-  out.kind = Region::Kind::kFmap;
-  out.begin = last.ofmap_base;
-  out.pitch = last.ofmap_channel_pitch;
-  out.units = last.ofmap_channels;
-  out.end = out.begin + out.pitch * static_cast<std::uint64_t>(out.units);
-  out.spec_index = input.specs.size();
-  out.dense_fc = input.specs.back().type == LayerSpec::Type::kFc;
-  out.name = "output";
-  input.regions.push_back(out);
-
-  std::sort(input.regions.begin(), input.regions.end(),
-            [](const Region& a, const Region& b) { return a.begin < b.begin; });
-}
-
 [[noreturn]] void not_applicable(Injection injection, const char* why) {
   throw std::invalid_argument(std::string("inject ") + injection_name(injection) +
                               " not applicable: " + why);
@@ -97,10 +51,11 @@ void apply_plan_injection(AnalysisInput& input) {
     }
     case Injection::kPlanResidual: {
       auto& layers = require_plan(input).mutable_layers();
+      const std::vector<int> plan_index = core::ModelLayout::plan_indices(input.specs);
       for (const ResidualEdge& edge : input.residuals) {
-        auto& entry = layers[static_cast<std::size_t>(input.plan_index[edge.entry_spec])];
+        auto& entry = layers[static_cast<std::size_t>(plan_index[edge.entry_spec])];
         const auto& consumer =
-            layers[static_cast<std::size_t>(input.plan_index[edge.consumer_spec])];
+            layers[static_cast<std::size_t>(plan_index[edge.consumer_spec])];
         if (consumer.fully_encrypted || entry.fully_encrypted) continue;
         // Swap one shared encrypted row for a plain one: the row count (and
         // so the ratio rule) is preserved, but the union no longer covers
@@ -125,11 +80,12 @@ void apply_plan_injection(AnalysisInput& input) {
   }
 }
 
-/// Corrupts the built model (secure map, plan vectors, or the analyzer's
-/// region list) AFTER layout: the map and the plan now disagree, which is
+/// Corrupts the built model (secure map, plan vectors, or the layout's
+/// directory) AFTER layout: the map and the plan now disagree, which is
 /// precisely what the consistency rules exist to catch.
 void apply_model_injection(AnalysisInput& input) {
-  const auto& layers = input.layout->layers();
+  core::ModelLayout& layout = *input.layout;
+  const auto& layers = layout.layers();
   switch (input.inject) {
     case Injection::kPlanShape: {
       auto& plan_layers = require_plan(input).mutable_layers();
@@ -145,7 +101,7 @@ void apply_model_injection(AnalysisInput& input) {
       const auto& plan = require_plan(input);
       for (std::size_t i = 0; i < input.specs.size(); ++i) {
         if (input.specs[i].type != LayerSpec::Type::kConv) continue;
-        const int cp = input.consumer_plan_index(i);
+        const int cp = layout.consumer_plan_index(i);
         if (cp < 0) continue;
         const auto& lp = plan.layer(static_cast<std::size_t>(cp));
         const int channels = std::min(layers[i].ifmap_channels, lp.rows);
@@ -165,8 +121,9 @@ void apply_model_injection(AnalysisInput& input) {
     case Injection::kLayoutWeights: {
       const auto& plan = require_plan(input);
       for (std::size_t i = 0; i < input.specs.size(); ++i) {
-        if (input.plan_index[i] < 0) continue;
-        const auto& lp = plan.layer(static_cast<std::size_t>(input.plan_index[i]));
+        const int p = layout.plan_index(i);
+        if (p < 0) continue;
+        const auto& lp = plan.layer(static_cast<std::size_t>(p));
         for (int r = 0; r < lp.rows; ++r) {
           if (!row_encrypted_safe(lp, r)) continue;
           input.heap.unmark_secure(
@@ -182,8 +139,9 @@ void apply_model_injection(AnalysisInput& input) {
     case Injection::kLayoutAccount: {
       const auto& plan = require_plan(input);
       for (std::size_t i = 0; i < input.specs.size(); ++i) {
-        if (input.plan_index[i] < 0) continue;
-        const auto& lp = plan.layer(static_cast<std::size_t>(input.plan_index[i]));
+        const int p = layout.plan_index(i);
+        if (p < 0) continue;
+        const auto& lp = plan.layer(static_cast<std::size_t>(p));
         for (int r = 0; r < lp.rows; ++r) {
           if (row_encrypted_safe(lp, r)) continue;
           const sim::Addr row =
@@ -202,12 +160,13 @@ void apply_model_injection(AnalysisInput& input) {
     case Injection::kLayoutUntagged: {
       const auto& plan = require_plan(input);
       for (std::size_t i = 0; i < input.specs.size(); ++i) {
-        if (input.plan_index[i] < 0) continue;
-        const auto& lp = plan.layer(static_cast<std::size_t>(input.plan_index[i]));
+        const int p = layout.plan_index(i);
+        if (p < 0) continue;
+        const auto& lp = plan.layer(static_cast<std::size_t>(p));
         if (lp.encrypted_count() == 0) continue;
         // Forget the region: its secure ranges are now orphans.
         const std::string name = input.specs[i].name + ".weights";
-        std::erase_if(input.regions, [&](const Region& region) {
+        std::erase_if(layout.mutable_directory(), [&](const core::Region& region) {
           return region.name == name;
         });
         return;
@@ -219,9 +178,10 @@ void apply_model_injection(AnalysisInput& input) {
                              256);
       return;
     case Injection::kLayoutOverlap: {
-      for (std::size_t k = 0; k + 1 < input.regions.size(); ++k) {
-        if (input.regions[k].end <= input.regions[k + 1].begin) {
-          input.regions[k].end = input.regions[k + 1].begin + 128;
+      auto& directory = layout.mutable_directory();
+      for (std::size_t k = 0; k + 1 < directory.size(); ++k) {
+        if (directory[k].end <= directory[k + 1].begin) {
+          directory[k].end = directory[k + 1].begin + 128;
           return;
         }
       }
@@ -233,22 +193,6 @@ void apply_model_injection(AnalysisInput& input) {
 }
 
 }  // namespace
-
-int AnalysisInput::consumer_plan_index(std::size_t spec_index) const {
-  for (std::size_t j = spec_index; j < specs.size(); ++j) {
-    if (plan_index[j] >= 0) return plan_index[j];
-  }
-  return -1;
-}
-
-const Region* AnalysisInput::region_at(sim::Addr addr) const {
-  auto it = std::upper_bound(
-      regions.begin(), regions.end(), addr,
-      [](sim::Addr a, const Region& region) { return a < region.begin; });
-  if (it == regions.begin()) return nullptr;
-  --it;
-  return addr < it->end ? &*it : nullptr;
-}
 
 std::vector<ResidualEdge> residual_edges_from_names(
     const std::vector<models::LayerSpec>& specs) {
@@ -275,19 +219,14 @@ std::vector<ResidualEdge> residual_edges_from_names(
 
 AnalysisInput build_input(const std::vector<models::LayerSpec>& specs,
                           const BuildOptions& options) {
-  if (specs.empty()) throw std::invalid_argument("sealdl-check: empty spec chain");
   AnalysisInput input;
   input.specs = specs;
   input.plan_options = options.plan;
   input.inject = options.inject;
 
-  input.plan_index.assign(specs.size(), -1);
   std::vector<bool> is_conv;
-  int weight_idx = 0;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (specs[i].type == LayerSpec::Type::kPool) continue;
-    input.plan_index[i] = weight_idx++;
-    is_conv.push_back(specs[i].type == LayerSpec::Type::kConv);
+  for (const LayerSpec& s : specs) {
+    if (s.type != LayerSpec::Type::kPool) is_conv.push_back(s.type == LayerSpec::Type::kConv);
   }
   input.boundary = core::boundary_layers(is_conv, options.plan);
   input.residuals = residual_edges_from_names(specs);
@@ -297,8 +236,8 @@ AnalysisInput build_input(const std::vector<models::LayerSpec>& specs,
   }
   apply_plan_injection(input);
 
+  // Throws std::invalid_argument on an empty spec chain.
   input.layout.emplace(specs, input.plan ? &*input.plan : nullptr, input.heap);
-  derive_regions(input);
   apply_model_injection(input);
   return input;
 }

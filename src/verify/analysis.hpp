@@ -1,16 +1,15 @@
 // Model of one network-under-check: the plan, the laid-out address space,
-// the analyzer's region map, and the residual topology.
+// and the residual topology.
 //
-// build_input() mirrors the exact pipeline the timing runner executes
-// (core::EncryptionPlan::for_specs -> core::ModelLayout on a SecureHeap) and
-// then derives the analyzer-side model: a sorted list of address regions
-// (per-layer weight arrays and feature maps) that the checkers interrogate
-// without ever running the cycle simulator.
+// build_input() runs the exact pipeline the timing runner executes
+// (core::EncryptionPlan::for_specs -> core::ModelLayout on a SecureHeap). The
+// layout's directory of placed buffers (core::Region) is the address map the
+// checkers interrogate without ever running the cycle simulator; nothing
+// here re-derives it.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "core/encryption_plan.hpp"
@@ -20,25 +19,6 @@
 #include "verify/inject.hpp"
 
 namespace sealdl::verify {
-
-/// One contiguous address region the layout placed: a layer's weight array
-/// or a feature-map buffer.
-struct Region {
-  enum class Kind : std::uint8_t { kWeights, kFmap };
-
-  Kind kind = Kind::kWeights;
-  sim::Addr begin = 0;
-  sim::Addr end = 0;           ///< half-open
-  /// Owning spec: for weights, the layer; for fmaps, the spec the buffer
-  /// feeds (specs.size() marks the network-output buffer).
-  std::size_t spec_index = 0;
-  std::uint64_t pitch = 0;     ///< bytes per row (weights) / channel (fmaps)
-  int units = 0;               ///< row / channel count
-  /// FC input vectors are stored densely (4 bytes per feature, no per-channel
-  /// line padding); alignment rules exempt them.
-  bool dense_fc = false;
-  std::string name;            ///< e.g. "conv3_1.weights", "fc6.in"
-};
 
 /// An identity skip connection reconstructed from ResNet-style spec names
 /// ("stageS_blockB_a"/"_b" with no "_proj"): the block-entry fmap is summed
@@ -55,22 +35,15 @@ struct AnalysisInput {
   /// Null iff built without a plan (BuildOptions::selective false).
   std::optional<core::EncryptionPlan> plan;
   core::SecureHeap heap;
+  /// The address map (directory, plan index, consumer lookup). Its directory
+  /// is the analyzer's model, so the model-corruption injections edit it
+  /// through ModelLayout::mutable_directory() to prove the model-vs-map
+  /// rules fire.
   std::optional<core::ModelLayout> layout;
-  /// Sorted by begin; derived from the layout, then possibly corrupted by an
-  /// injection (the regions are the analyzer's model, so model-corruption
-  /// injections prove the model-vs-map rules fire).
-  std::vector<Region> regions;
-  /// spec index -> plan layer index (-1 for POOLs).
-  std::vector<int> plan_index;
   /// Weight-layer boundary mask, parallel to the plan's layers.
   std::vector<bool> boundary;
   std::vector<ResidualEdge> residuals;
   Injection inject = Injection::kNone;
-
-  /// First weight layer at spec index >= i (the consumer of fmap i), or -1.
-  [[nodiscard]] int consumer_plan_index(std::size_t spec_index) const;
-  /// Region containing `addr`, or nullptr. O(log n).
-  [[nodiscard]] const Region* region_at(sim::Addr addr) const;
 };
 
 struct BuildOptions {

@@ -1,6 +1,6 @@
 // Layout/heap rules: agreement between the plan, the SecureMap and the
-// analyzer's region model — weight-row marking, range alignment, range
-// tagging, heap bounds, region disjointness, and byte accounting.
+// layout's directory — weight-row marking, range alignment, range tagging,
+// heap bounds, directory disjointness, and byte accounting.
 #include <algorithm>
 #include <string>
 
@@ -24,16 +24,14 @@ class LayoutWeightsChecker final : public Checker {
     const auto& map = input.heap.secure_map();
     const auto& layers = input.layout->layers();
     for (std::size_t i = 0; i < input.specs.size(); ++i) {
-      const int p = input.plan_index[i];
+      const int p = input.layout->plan_index(i);
       if (p < 0 || static_cast<std::size_t>(p) >= input.plan->layer_count()) {
         continue;
       }
       const LayerSpec& s = input.specs[i];
       const auto& lp = input.plan->layer(static_cast<std::size_t>(p));
       const auto& layer = layers[i];
-      const int rows =
-          s.type == LayerSpec::Type::kConv ? s.in_channels : s.in_features;
-      for (int r = 0; r < rows; ++r) {
+      for (int r = 0; r < s.weight_rows(); ++r) {
         const bool expected = row_encrypted_safe(lp, r);
         const sim::Addr begin =
             layer.weight_base +
@@ -68,7 +66,8 @@ class LayoutAlignChecker final : public Checker {
       // features per line by design, so their 4-byte edges are exempt (the
       // line_is_secure rule covers the whole line there).
       for (const sim::Addr edge : {begin, end}) {
-        const Region* region = input.region_at(edge == begin ? edge : edge - 1);
+        const core::Region* region =
+            input.layout->region_at(edge == begin ? edge : edge - 1);
         if (!region || region->dense_fc) continue;
         if (edge % kLine != 0) {
           report.add({"layout.align", Severity::kError, region->name, begin, end,
@@ -86,19 +85,20 @@ class LayoutUntaggedChecker final : public Checker {
   std::vector<std::string> rules() const override { return {"layout.untagged"}; }
 
   void run(const AnalysisInput& input, Report& report) const override {
+    const auto& directory = input.layout->directory();
     input.heap.secure_map().visit([&](sim::Addr begin, sim::Addr end) {
       sim::Addr cursor = begin;
       while (cursor < end) {
-        if (const Region* region = input.region_at(cursor)) {
+        if (const core::Region* region = input.layout->region_at(cursor)) {
           cursor = std::min(end, region->end);
           continue;
         }
         // Gap: advance to the next known region (or the range end).
         auto it = std::upper_bound(
-            input.regions.begin(), input.regions.end(), cursor,
-            [](sim::Addr a, const Region& r) { return a < r.begin; });
+            directory.begin(), directory.end(), cursor,
+            [](sim::Addr a, const core::Region& r) { return a < r.begin; });
         const sim::Addr next =
-            it != input.regions.end() ? std::min(end, it->begin) : end;
+            it != directory.end() ? std::min(end, it->begin) : end;
         report.add({"layout.untagged", Severity::kError, "", cursor, next,
                     "secure range not covered by any model region"});
         cursor = next;
@@ -130,9 +130,10 @@ class LayoutOverlapChecker final : public Checker {
   std::vector<std::string> rules() const override { return {"layout.overlap"}; }
 
   void run(const AnalysisInput& input, Report& report) const override {
-    for (std::size_t k = 0; k + 1 < input.regions.size(); ++k) {
-      const Region& a = input.regions[k];
-      const Region& b = input.regions[k + 1];
+    const auto& directory = input.layout->directory();
+    for (std::size_t k = 0; k + 1 < directory.size(); ++k) {
+      const core::Region& a = directory[k];
+      const core::Region& b = directory[k + 1];
       if (b.begin >= a.end) continue;
       report.add({"layout.overlap", Severity::kError, a.name, b.begin,
                   std::min(a.end, b.end),

@@ -13,10 +13,6 @@ namespace {
 
 using models::LayerSpec;
 
-int expected_rows_for_spec(const LayerSpec& s) {
-  return s.type == LayerSpec::Type::kConv ? s.in_channels : s.in_features;
-}
-
 /// Encrypted-row count that tolerates a malformed (wrong-size) vector.
 int safe_encrypted_count(const core::LayerPlan& lp) {
   const std::size_t limit = std::min(
@@ -33,9 +29,10 @@ class PlanShapeChecker final : public Checker {
 
   void run(const AnalysisInput& input, Report& report) const override {
     if (!input.plan) return;
+    const core::ModelLayout& layout = *input.layout;
     std::size_t weight_specs = 0;
-    for (const int p : input.plan_index) {
-      if (p >= 0) ++weight_specs;
+    for (std::size_t i = 0; i < input.specs.size(); ++i) {
+      if (layout.plan_index(i) >= 0) ++weight_specs;
     }
     if (input.plan->layer_count() != weight_specs) {
       report.add({"plan.shape", Severity::kError, "", 0, 0,
@@ -45,11 +42,11 @@ class PlanShapeChecker final : public Checker {
       return;
     }
     for (std::size_t i = 0; i < input.specs.size(); ++i) {
-      if (input.plan_index[i] < 0) continue;
+      const int p = layout.plan_index(i);
+      if (p < 0) continue;
       const LayerSpec& s = input.specs[i];
-      const auto& lp =
-          input.plan->layer(static_cast<std::size_t>(input.plan_index[i]));
-      const int expected = expected_rows_for_spec(s);
+      const auto& lp = input.plan->layer(static_cast<std::size_t>(p));
+      const int expected = s.weight_rows();
       if (lp.rows != expected) {
         report.add({"plan.shape", Severity::kError, s.name, 0, 0,
                     "plan rows " + std::to_string(lp.rows) + " != " +
@@ -88,7 +85,7 @@ class PlanRatioChecker final : public Checker {
     }
     const double ratio = input.plan_options.encryption_ratio;
     for (std::size_t i = 0; i < input.specs.size(); ++i) {
-      const int p = input.plan_index[i];
+      const int p = input.layout->plan_index(i);
       if (p < 0 || input.boundary[static_cast<std::size_t>(p)]) continue;
       const auto& lp = input.plan->layer(static_cast<std::size_t>(p));
       // The same rounding the plan builder applies (core::apply_policy).
@@ -117,7 +114,7 @@ class PlanBoundaryChecker final : public Checker {
       return;
     }
     for (std::size_t i = 0; i < input.specs.size(); ++i) {
-      const int p = input.plan_index[i];
+      const int p = input.layout->plan_index(i);
       if (p < 0 || !input.boundary[static_cast<std::size_t>(p)]) continue;
       const auto& lp = input.plan->layer(static_cast<std::size_t>(p));
       const int count = safe_encrypted_count(lp);
@@ -150,7 +147,7 @@ class PlanClosureChecker final : public Checker {
     for (std::size_t i = 0; i < input.specs.size(); ++i) {
       const LayerSpec& s = input.specs[i];
       const auto& layer = layers[i];
-      const int cp = input.consumer_plan_index(i);
+      const int cp = input.layout->consumer_plan_index(i);
       const core::LayerPlan* lp =
           cp >= 0 && static_cast<std::size_t>(cp) < input.plan->layer_count()
               ? &input.plan->layer(static_cast<std::size_t>(cp))
@@ -215,8 +212,8 @@ class PlanResidualChecker final : public Checker {
   void run(const AnalysisInput& input, Report& report) const override {
     if (!input.plan) return;
     for (const ResidualEdge& edge : input.residuals) {
-      const int ep = input.plan_index[edge.entry_spec];
-      const int cp = input.plan_index[edge.consumer_spec];
+      const int ep = input.layout->plan_index(edge.entry_spec);
+      const int cp = input.layout->plan_index(edge.consumer_spec);
       if (ep < 0 || cp < 0 ||
           static_cast<std::size_t>(ep) >= input.plan->layer_count() ||
           static_cast<std::size_t>(cp) >= input.plan->layer_count()) {

@@ -46,7 +46,7 @@ std::uint64_t all_bytes(const TaintCounts& counts) {
 /// not constrain this line (e.g. an untagged address).
 std::optional<WirePolicy> wire_policy(const sim::SchemeContract& contract,
                                       const AnalysisInput& input,
-                                      const Region& region,
+                                      const core::Region& region,
                                       sim::Addr line_addr) {
   switch (contract.wire) {
     case sim::WireVisibility::kFullPlain:
@@ -56,7 +56,7 @@ std::optional<WirePolicy> wire_policy(const sim::SchemeContract& contract,
     case sim::WireVisibility::kPlanBoundary:
       return plan_line_policy(input, region, line_addr);
     case sim::WireVisibility::kWeightsCipher:
-      return region.kind == Region::Kind::kWeights ? WirePolicy::kMustCipher
+      return region.kind == core::Region::Kind::kWeights ? WirePolicy::kMustCipher
                                                    : WirePolicy::kMustPlain;
   }
   return std::nullopt;
@@ -112,7 +112,7 @@ void fill_expected_plaintext(sim::Addr line_addr,
 /// The transcript's line sample for one region: the first and last line of
 /// every row/channel, and a stride scan capped at 2048 lines for dense FC
 /// vectors that have no per-unit structure.
-std::vector<sim::Addr> sampled_lines(const Region& region) {
+std::vector<sim::Addr> sampled_lines(const core::Region& region) {
   constexpr std::uint64_t kMaxLinesPerRegion = 2048;
   std::vector<sim::Addr> lines;
   if (region.end <= region.begin || region.pitch == 0) return lines;
@@ -151,7 +151,7 @@ void oracle_transcript(const sim::SchemeInfo& entry, const AnalysisInput& input,
   memory.set_probe(&probe);
 
   std::vector<sim::Addr> lines;
-  for (const Region& region : input.regions) {
+  for (const core::Region& region : input.layout->directory()) {
     const auto sampled = sampled_lines(region);
     lines.insert(lines.end(), sampled.begin(), sampled.end());
   }
@@ -177,7 +177,7 @@ void oracle_transcript(const sim::SchemeInfo& entry, const AnalysisInput& input,
   const std::string name = entry.cli_name;
   for (const auto& [addr, image] : ledger.captures()) {
     if (addr >= sim::kCounterRegionBase) continue;
-    if (input.region_at(addr) == nullptr) continue;
+    if (input.layout->region_at(addr) == nullptr) continue;
     fill_expected_plaintext(addr, buf);
     const bool equal = image.size == kLine &&
                        std::equal(buf.begin(), buf.end(), image.bytes.begin());
@@ -201,20 +201,20 @@ std::vector<std::string> scheme_rules() {
           "scheme.oracle"};
 }
 
-WirePolicy plan_line_policy(const AnalysisInput& input, const Region& region,
+WirePolicy plan_line_policy(const AnalysisInput& input, const core::Region& region,
                             sim::Addr line_addr) {
   if (!input.plan) return WirePolicy::kMustPlain;
   // The network output buffer is always encrypted under SEAL.
   if (region.spec_index >= input.specs.size()) return WirePolicy::kMustCipher;
   const std::uint64_t off = line_addr - region.begin;
-  if (region.kind == Region::Kind::kWeights) {
-    const int lp_idx = input.plan_index[region.spec_index];
+  if (region.kind == core::Region::Kind::kWeights) {
+    const int lp_idx = input.layout->plan_index(region.spec_index);
     const int row = static_cast<int>(off / region.pitch);
     return input.plan->row_protected(static_cast<std::size_t>(lp_idx), row)
                ? WirePolicy::kMustCipher
                : WirePolicy::kMustPlain;
   }
-  const int cp = input.consumer_plan_index(region.spec_index);
+  const int cp = input.layout->consumer_plan_index(region.spec_index);
   if (cp < 0) return WirePolicy::kMustPlain;
   const auto& lp = input.plan->layer(static_cast<std::size_t>(cp));
   if (region.dense_fc) {
@@ -379,7 +379,7 @@ void check_scheme_wire(const sim::SchemeInfo& entry,
   std::uint64_t untagged = 0;
   for (const auto& [addr, counts] : evidence.ledger->lines()) {
     if (addr >= sim::kCounterRegionBase) continue;
-    const Region* region = input.region_at(addr);
+    const core::Region* region = input.layout->region_at(addr);
     if (region == nullptr) {
       untagged += all_bytes(counts);
       continue;
@@ -418,8 +418,8 @@ void check_scheme_boundary(const sim::SchemeInfo& entry,
   const AnalysisInput& input = *evidence.input;
   const sim::ProtectionScope scope = entry.model->contract().scope;
   const std::span<const TaintCell> cells = evidence.ledger->cells();
-  for (const Region& region : input.regions) {
-    if (region.kind != Region::Kind::kWeights || region.units <= 0) continue;
+  for (const core::Region& region : input.layout->directory()) {
+    if (region.kind != core::Region::Kind::kWeights || region.units <= 0) continue;
     std::vector<std::uint8_t> seen_plain(static_cast<std::size_t>(region.units), 0);
     std::vector<std::uint8_t> seen_cipher(static_cast<std::size_t>(region.units), 0);
     for (auto it = std::lower_bound(cells.begin(), cells.end(), region.begin,
@@ -446,7 +446,7 @@ void check_scheme_boundary(const sim::SchemeInfo& entry,
           break;
         case sim::ProtectionScope::kPlanRows: {
           if (!input.plan) continue;
-          const int lp_idx = input.plan_index[region.spec_index];
+          const int lp_idx = input.layout->plan_index(region.spec_index);
           if (lp_idx < 0) continue;
           protected_row = input.plan->row_protected(
               static_cast<std::size_t>(lp_idx), r);
@@ -601,12 +601,12 @@ Report run_scheme_injection(Injection injection,
       // ciphertext; only copies are touched, never the run's real ledger.
       TaintLedger corrupted = *evidence.ledger;
       const sim::SchemeContract& contract = entry.model->contract();
-      for (const Region& region : input.regions) {
+      for (const core::Region& region : input.layout->directory()) {
         const auto policy = wire_policy(contract, input, region, region.begin);
         if (policy == WirePolicy::kMustCipher) {
           corrupted.record(region.begin, static_cast<std::uint32_t>(kLine),
                            /*is_write=*/false,
-                           region.kind == Region::Kind::kWeights
+                           region.kind == core::Region::Kind::kWeights
                                ? TaintClass::kWeightPlain
                                : TaintClass::kFmapPlain);
           break;
@@ -622,14 +622,14 @@ Report run_scheme_injection(Injection injection,
       // Plaintext inside a protected weight row: find one under the scope.
       TaintLedger corrupted = *evidence.ledger;
       const sim::ProtectionScope scope = entry.model->contract().scope;
-      for (const Region& region : input.regions) {
-        if (region.kind != Region::Kind::kWeights || region.units <= 0) continue;
+      for (const core::Region& region : input.layout->directory()) {
+        if (region.kind != core::Region::Kind::kWeights || region.units <= 0) continue;
         int row = -1;
         if (scope == sim::ProtectionScope::kAll ||
             scope == sim::ProtectionScope::kWeights) {
           row = 0;
         } else if (scope == sim::ProtectionScope::kPlanRows && input.plan) {
-          const int lp_idx = input.plan_index[region.spec_index];
+          const int lp_idx = input.layout->plan_index(region.spec_index);
           if (lp_idx < 0) continue;
           for (int r = 0; r < region.units; ++r) {
             if (input.plan->row_protected(static_cast<std::size_t>(lp_idx), r)) {

@@ -71,14 +71,14 @@ enum class WirePolicy : std::uint8_t { kMustCipher, kMustPlain };
 /// network output buffer is always ciphertext. Judging the wire against the
 /// *plan* (not the secure map) catches a map that drifted from it.
 [[nodiscard]] WirePolicy plan_line_policy(const AnalysisInput& input,
-                                          const Region& region,
+                                          const core::Region& region,
                                           sim::Addr line_addr);
 
 /// Post-run evidence one conformance pass consumes: the analyzer model of
 /// the audited network, the run's taint ledger, and the summed SimStats of
 /// every layer (carrying the controllers' metadata decomposition).
 struct SchemeRunEvidence {
-  const AnalysisInput* input = nullptr;  ///< regions + plan (borrowed)
+  const AnalysisInput* input = nullptr;  ///< layout + plan (borrowed)
   const TaintLedger* ledger = nullptr;   ///< run traffic (borrowed)
   sim::SimStats stats;                   ///< summed over the run's layers
   sim::GpuConfig config;                 ///< the config that ran

@@ -172,11 +172,11 @@ class TraceChecker final : public Checker {
                         "load outside the allocated heap or not line-aligned"});
             break;
           }
-          const Region* region = input.region_at(op->addr);
+          const core::Region* region = input.layout->region_at(op->addr);
           if (!region || region->spec_index != spec_idx) break;
           const bool secure =
               map.line_is_secure(op->addr, static_cast<int>(kLine));
-          if (region->kind == Region::Kind::kWeights) {
+          if (region->kind == core::Region::Kind::kWeights) {
             const int r = static_cast<int>((op->addr - region->begin) /
                                            region->pitch);
             auto [it, inserted] = row_secure.try_emplace(r, secure);
@@ -211,9 +211,9 @@ class TraceChecker final : public Checker {
                             std::to_string(loads_since_barrier) +
                             " loads not covered by a full WaitLoads barrier"});
           }
-          const Region* region = input.region_at(op->addr);
+          const core::Region* region = input.layout->region_at(op->addr);
           const bool own_output = region != nullptr &&
-                                  region->kind == Region::Kind::kFmap &&
+                                  region->kind == core::Region::Kind::kFmap &&
                                   region->spec_index == spec_idx + 1;
           if (!own_output && !region_reported) {
             region_reported = true;

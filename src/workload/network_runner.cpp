@@ -88,13 +88,8 @@ LayerOutcome simulate_layer(const core::LayerAddressing& layer,
   outcome.result.scale = work.scale();
   outcome.total_tiles = work.total_tiles;
   outcome.simulated_tiles = work.simulated_tiles;
-  if (layer.spec.type == models::LayerSpec::Type::kConv) {
-    outcome.result.weight_bytes =
-        layer.weight_row_pitch * static_cast<std::uint64_t>(layer.spec.in_channels);
-  } else if (layer.spec.type == models::LayerSpec::Type::kFc) {
-    outcome.result.weight_bytes =
-        layer.weight_row_pitch * static_cast<std::uint64_t>(layer.spec.in_features);
-  }
+  outcome.result.weight_bytes =
+      layer.weight_row_pitch * static_cast<std::uint64_t>(layer.spec.weight_rows());
   if (collect_metrics) {
     telemetry::collect_component_metrics(simulator, outcome.metrics);
   }
@@ -183,16 +178,10 @@ NetworkResult run_specs(const std::vector<models::LayerSpec>& specs,
   if (scope == sim::ProtectionScope::kWeights) {
     // GuardNN-style boundary: every laid-out weight byte is secure, no
     // activation is. The boundary is structural (model parameters), so it
-    // needs no plan — mark each layer's full kernel-row span after layout.
-    for (const core::LayerAddressing& layer : layout.layers()) {
-      const std::uint64_t rows =
-          layer.spec.type == models::LayerSpec::Type::kConv
-              ? static_cast<std::uint64_t>(layer.spec.in_channels)
-          : layer.spec.type == models::LayerSpec::Type::kFc
-              ? static_cast<std::uint64_t>(layer.spec.in_features)
-              : 0;
-      if (rows && layer.weight_row_pitch) {
-        heap.mark_secure(layer.weight_base, rows * layer.weight_row_pitch);
+    // needs no plan — mark each weights entry of the directory after layout.
+    for (const core::Region& region : layout.directory()) {
+      if (region.kind == core::Region::Kind::kWeights) {
+        heap.mark_secure(region.begin, region.end - region.begin);
       }
     }
   }

@@ -2,9 +2,14 @@
 // secure-range marking that drives selective encryption.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "core/model_layout.hpp"
 #include "core/secure_heap.hpp"
 #include "models/layer_spec.hpp"
+#include "sim/gpu_config.hpp"
+#include "workload/network_runner.hpp"
 
 namespace sealdl::core {
 namespace {
@@ -116,8 +121,7 @@ EncryptionPlan plan_for(const std::vector<models::LayerSpec>& specs, double rati
   std::vector<bool> is_conv;
   for (const auto& s : specs) {
     if (s.type == models::LayerSpec::Type::kPool) continue;
-    rows.push_back(s.type == models::LayerSpec::Type::kConv ? s.in_channels
-                                                            : s.in_features);
+    rows.push_back(s.weight_rows());
     is_conv.push_back(s.type == models::LayerSpec::Type::kConv);
   }
   PlanOptions options;
@@ -200,6 +204,131 @@ TEST(ModelLayout, PlanMismatchThrows) {
   const auto plan = plan_for({specs[0]}, 0.5);  // plan for 1 layer, specs have 3
   SecureHeap heap;
   EXPECT_THROW(ModelLayout(specs, &plan, heap), std::invalid_argument);
+}
+
+TEST(ModelLayout, EmptySpecChainThrows) {
+  SecureHeap heap;
+  EXPECT_THROW(ModelLayout({}, nullptr, heap), std::invalid_argument);
+  EXPECT_EQ(heap.bytes_allocated(), 0u);
+  EXPECT_THROW(workload::run_network({}, sim::GpuConfig::gtx480(), {}),
+               std::invalid_argument);
+}
+
+TEST(ModelLayout, DirectoryLookupAndPlanIndex) {
+  const auto specs = small_chain();
+  SecureHeap heap;
+  ModelLayout layout(specs, nullptr, heap);
+  const auto& dir = layout.directory();
+  ASSERT_FALSE(dir.empty());
+  EXPECT_EQ(layout.region_at(dir.front().begin - 1), nullptr);
+  EXPECT_EQ(layout.region_at(dir.back().end), nullptr);
+  for (const Region& region : dir) {
+    EXPECT_EQ(layout.region_at(region.begin), &region) << region.name;
+    EXPECT_EQ(layout.region_at(region.end - 1), &region) << region.name;
+  }
+  const Region* conv2_w = layout.region_at(layout.layers()[2].weight_base);
+  ASSERT_NE(conv2_w, nullptr);
+  EXPECT_EQ(conv2_w->name, "conv2.weights");
+  EXPECT_EQ(conv2_w->units, 8);
+  EXPECT_EQ(layout.region_at(layout.layers().back().ofmap_base)->name, "output");
+  EXPECT_TRUE(layout.region_at(layout.layers().back().ifmap_base)->dense_fc);
+
+  // conv1, pool, conv2, fc -> plan layers 0, -, 1, 2; the pool's input is
+  // consumed by conv2, and the network output by nothing.
+  EXPECT_EQ(layout.plan_index(0), 0);
+  EXPECT_EQ(layout.plan_index(1), -1);
+  EXPECT_EQ(layout.plan_index(2), 1);
+  EXPECT_EQ(layout.plan_index(3), 2);
+  EXPECT_EQ(layout.consumer_plan_index(1), 1);
+  EXPECT_EQ(layout.consumer_plan_index(specs.size()), -1);
+  EXPECT_EQ(ModelLayout::plan_indices(specs), (std::vector<int>{0, -1, 1, 2}));
+}
+
+// The directory is a partition of the heap, in the style of a work-split
+// noOverlap() + total-volume check: entries are sorted, pairwise disjoint and
+// contiguous, their extents sum to every byte the layout placed, every secure
+// byte lies inside an entry, and each spec owns exactly its buffers.
+TEST(ModelLayout, DirectoryPartitionsTheHeap) {
+  struct Network {
+    std::string name;
+    std::vector<models::LayerSpec> specs;
+    std::uint64_t bytes;  ///< pinned footprint at 224x224 inputs (0: not pinned)
+  };
+  const std::vector<Network> networks = {
+      {"vgg16", models::vgg16_specs(), 615'064'320},
+      {"resnet18", models::resnet18_specs(), 58'989'312},
+      {"resnet34", models::resnet34_specs(), 104'733'440},
+      {"fig5", models::fig5_conv_layers(), 0},
+      {"fig6", models::fig6_pool_layers(), 0},
+  };
+  for (const auto& [net, specs, bytes] : networks) {
+    for (const bool with_plan : {false, true}) {
+      SCOPED_TRACE(net + (with_plan ? " plan 0.5" : " no plan"));
+      std::optional<EncryptionPlan> plan;
+      if (with_plan) {
+        PlanOptions options;
+        options.encryption_ratio = 0.5;
+        plan = EncryptionPlan::for_specs(specs, options);
+      }
+      SecureHeap heap;
+      ModelLayout layout(specs, plan ? &*plan : nullptr, heap);
+      const auto& dir = layout.directory();
+      ASSERT_FALSE(dir.empty());
+
+      EXPECT_EQ(dir.front().begin, heap.base());
+      std::uint64_t volume = 0;
+      for (std::size_t k = 0; k < dir.size(); ++k) {
+        EXPECT_LT(dir[k].begin, dir[k].end) << dir[k].name;
+        EXPECT_EQ(dir[k].end - dir[k].begin,
+                  dir[k].pitch * static_cast<std::uint64_t>(dir[k].units))
+            << dir[k].name;
+        if (k + 1 < dir.size()) {
+          EXPECT_EQ(dir[k].end, dir[k + 1].begin) << dir[k].name;
+        }
+        volume += dir[k].end - dir[k].begin;
+      }
+      EXPECT_EQ(volume, layout.total_bytes());
+      EXPECT_EQ(volume, heap.bytes_allocated());
+      if (bytes != 0) {
+        EXPECT_EQ(volume, bytes);
+      }
+
+      // Coalesced secure ranges may span adjacent entries, so coverage is
+      // stated as volume: the per-entry secure bytes add up to the map's.
+      const auto& map = heap.secure_map();
+      std::uint64_t secure_in_entries = 0;
+      for (const Region& region : dir) {
+        secure_in_entries += map.secure_bytes_in(region.begin, region.end - region.begin);
+      }
+      EXPECT_EQ(secure_in_entries, map.secure_bytes());
+      map.visit([&](sim::Addr begin, sim::Addr end) {
+        EXPECT_NE(layout.region_at(begin), nullptr);
+        EXPECT_NE(layout.region_at(end - 1), nullptr);
+      });
+      EXPECT_EQ(map.secure_bytes() != 0, with_plan);
+
+      std::vector<int> weights(specs.size(), 0), fmaps(specs.size() + 1, 0);
+      for (const Region& region : dir) {
+        ASSERT_LE(region.spec_index, specs.size()) << region.name;
+        if (region.kind == Region::Kind::kWeights) {
+          ++weights[region.spec_index];
+          EXPECT_EQ(region.name, specs[region.spec_index].name + ".weights");
+          EXPECT_EQ(region.units, specs[region.spec_index].weight_rows());
+        } else {
+          ++fmaps[region.spec_index];
+          EXPECT_EQ(region.name, region.spec_index == specs.size()
+                                     ? std::string("output")
+                                     : specs[region.spec_index].name + ".in");
+        }
+      }
+      for (std::size_t i = 0; i < specs.size(); ++i) {
+        const bool weight_layer = specs[i].type != models::LayerSpec::Type::kPool;
+        EXPECT_EQ(weights[i], weight_layer ? 1 : 0) << specs[i].name;
+        EXPECT_EQ(fmaps[i], 1) << specs[i].name;
+      }
+      EXPECT_EQ(fmaps[specs.size()], 1);
+    }
+  }
 }
 
 }  // namespace

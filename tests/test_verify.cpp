@@ -119,7 +119,7 @@ TEST(VerifyInject, CorruptedPlanCaughtAtPlanAndTraceLevel) {
   const auto& layers = input.layout->layers();
   for (std::size_t i = 0; i < input.specs.size() && !corrupted; ++i) {
     if (input.specs[i].type != models::LayerSpec::Type::kConv) continue;
-    const int cp = input.consumer_plan_index(i);
+    const int cp = input.layout->consumer_plan_index(i);
     if (cp < 0) continue;
     const auto& lp = input.plan->layer(static_cast<std::size_t>(cp));
     for (int c = 0; c < std::min(layers[i].ifmap_channels, lp.rows); ++c) {

@@ -1,5 +1,6 @@
 # ctest gate: the byte-determinism contract of the telemetry / verify / serve
-# stacks ("same flags => byte-identical output, for any --jobs") is easiest to
+# stacks ("same flags => byte-identical output, for any --jobs"), and of the
+# core layout whose directory the taint ledger classifies against, is easiest to
 # break by accident — one wall-clock read or one iterated hash container. This
 # lint greps those directories for the known nondeterminism sources and fails
 # on any hit not carried by the audited allowlist
@@ -11,7 +12,7 @@ if(NOT DEFINED REPO_ROOT)
   message(FATAL_ERROR "usage: cmake -DREPO_ROOT=... -P determinism_lint.cmake")
 endif()
 
-set(lint_dirs src/telemetry src/verify src/serve)
+set(lint_dirs src/core src/telemetry src/verify src/serve)
 # Each entry: a fixed substring whose presence needs justification.
 set(banned_patterns
   std::random_device
