@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
-#include "models/layer_spec.hpp"
+#include "models/build.hpp"
 
 namespace sealdl {
 namespace {
@@ -18,15 +18,12 @@ int main_impl(int argc, char** argv) {
   const auto tiles = static_cast<std::uint64_t>(flags.get_int("tiles", 480));
   const int input = static_cast<int>(flags.get_int("input", 224));
   const std::string model = flags.get("model", "vgg16");
+  const auto specs = models::network_specs(model, input);
 
   bench::banner("Ablation — encryption-ratio sweep (SEAL-D on " + model + ")",
                 "performance interpolates between Baseline (ratio 0) and "
                 "Direct full encryption (ratio 1); 0.5 is the security-chosen "
                 "operating point");
-
-  const auto specs = model == "vgg16"      ? models::vgg16_specs(input)
-                     : model == "resnet18" ? models::resnet18_specs(input)
-                                           : models::resnet34_specs(input);
 
   // Baseline and full-encryption anchors.
   workload::RunOptions options;

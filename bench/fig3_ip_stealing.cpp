@@ -8,7 +8,6 @@
 // the synthetic 10-class dataset with the paper's 90%/10% victim/adversary
 // split and Jacobian-based augmentation.
 #include <cstdio>
-#include <sstream>
 
 #include "attack/pipeline.hpp"
 #include "bench/bench_common.hpp"
@@ -36,14 +35,6 @@ attack::PipelineOptions pipeline_options(const std::string& model) {
   return o;
 }
 
-std::vector<std::string> split_models(const std::string& arg) {
-  std::vector<std::string> out;
-  std::stringstream ss(arg);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(item);
-  return out;
-}
-
 int main_impl(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
@@ -51,7 +42,7 @@ int main_impl(int argc, char** argv) {
   // substitute-training variance (~±5 accuracy points at this scale).
   const int seeds = static_cast<int>(flags.get_int("seeds", 1));
   const auto models =
-      split_models(flags.get("models", quick ? "vgg16" : "vgg16,resnet18,resnet34"));
+      util::split_csv(flags.get("models", quick ? "vgg16" : "vgg16,resnet18,resnet34"));
   const std::vector<double> ratios =
       quick ? std::vector<double>{0.9, 0.5, 0.2}
             : std::vector<double>{0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1};

@@ -8,7 +8,6 @@
 // attack metric [4]. Paper: black-box ~0.2; SEAL at ratios >= 50% at or
 // below black-box; below 40% the transferability rises sharply.
 #include <cstdio>
-#include <sstream>
 
 #include "attack/ifgsm.hpp"
 #include "attack/pipeline.hpp"
@@ -42,20 +41,12 @@ attack::PipelineOptions pipeline_options(const std::string& model) {
   return o;
 }
 
-std::vector<std::string> split_models(const std::string& arg) {
-  std::vector<std::string> out;
-  std::stringstream ss(arg);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(item);
-  return out;
-}
-
 int main_impl(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
   const int examples = static_cast<int>(flags.get_int("examples", quick ? 60 : 100));
   const auto models =
-      split_models(flags.get("models", quick ? "vgg16" : "vgg16,resnet18,resnet34"));
+      util::split_csv(flags.get("models", quick ? "vgg16" : "vgg16,resnet18,resnet34"));
   const std::vector<double> ratios =
       quick ? std::vector<double>{0.9, 0.5, 0.2}
             : std::vector<double>{0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1};

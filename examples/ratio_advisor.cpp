@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "attack/pipeline.hpp"
-#include "models/layer_spec.hpp"
+#include "models/build.hpp"
 #include "sim/scheme_registry.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -46,9 +46,7 @@ int main(int argc, char** argv) {
               victim_acc * 100, bb_acc * 100);
 
   // --- performance axis: simulated IPC per ratio -------------------------------
-  const auto specs = model_name == "vgg16"      ? models::vgg16_specs(224)
-                     : model_name == "resnet18" ? models::resnet18_specs(224)
-                                                : models::resnet34_specs(224);
+  const auto specs = models::network_specs(model_name);
   workload::RunOptions run_options;
   run_options.max_tiles_per_layer = quick ? 120 : 240;
   const double baseline_ipc =

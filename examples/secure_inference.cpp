@@ -94,9 +94,7 @@ int main(int argc, char** argv) {
               max_diff);
 
   // --- cost on the accelerator ------------------------------------------------
-  const auto specs = model_name == "vgg16"      ? models::vgg16_specs(224)
-                     : model_name == "resnet18" ? models::resnet18_specs(224)
-                                                : models::resnet34_specs(224);
+  const auto specs = models::network_specs(model_name);
   util::Table table({"scheme", "latency (ms @700MHz)", "vs baseline"});
   double baseline_ms = 0.0;
   struct Run {

@@ -20,7 +20,29 @@ using nn::ResidualBlock;
 using nn::Sequential;
 
 namespace {
+
 int scaled(int channels, int width_div) { return std::max(4, channels / width_div); }
+
+/// The one name -> network table.
+struct NetworkEntry {
+  const char* name;
+  std::vector<LayerSpec> (*specs)(int input_hw);
+  std::unique_ptr<Sequential> (*build)(const BuildOptions& options);
+};
+
+constexpr NetworkEntry kNetworks[] = {
+    {"vgg16", vgg16_specs, build_vgg16},
+    {"resnet18", resnet18_specs, build_resnet18},
+    {"resnet34", resnet34_specs, build_resnet34},
+};
+
+const NetworkEntry& find_network(const std::string& name) {
+  for (const NetworkEntry& entry : kNetworks) {
+    if (name == entry.name) return entry;
+  }
+  throw std::invalid_argument("unknown network " + name + " (" + network_names() + ")");
+}
+
 }  // namespace
 
 std::unique_ptr<Sequential> build_vgg16(const BuildOptions& options) {
@@ -118,12 +140,22 @@ std::unique_ptr<Sequential> build_resnet34(const BuildOptions& options) {
   return build_resnet(blocks, options);
 }
 
+std::string network_names() {
+  std::string names;
+  for (const NetworkEntry& entry : kNetworks) {
+    if (!names.empty()) names += '|';
+    names += entry.name;
+  }
+  return names;
+}
+
+std::vector<LayerSpec> network_specs(const std::string& name, int input_hw) {
+  return find_network(name).specs(input_hw);
+}
+
 std::unique_ptr<Sequential> build_model(const std::string& name,
                                         const BuildOptions& options) {
-  if (name == "vgg16") return build_vgg16(options);
-  if (name == "resnet18") return build_resnet18(options);
-  if (name == "resnet34") return build_resnet34(options);
-  throw std::invalid_argument("unknown model: " + name);
+  return find_network(name).build(options);
 }
 
 }  // namespace sealdl::models

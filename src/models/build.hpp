@@ -1,4 +1,4 @@
-// Trainable instances of the paper's three CNNs.
+// Trainable instances of the paper's three CNNs, and the one network name table.
 //
 // The builders accept a width divisor so that the security experiments
 // (victim/substitute training in pure C++) run at laptop speed while keeping
@@ -8,7 +8,9 @@
 #pragma once
 
 #include <memory>
+#include <string>
 
+#include "models/layer_spec.hpp"
 #include "nn/network.hpp"
 #include "util/rng.hpp"
 
@@ -33,7 +35,14 @@ std::unique_ptr<nn::Sequential> build_resnet18(const BuildOptions& options);
 /// ResNet-34: stages [3,4,6,3].
 std::unique_ptr<nn::Sequential> build_resnet34(const BuildOptions& options);
 
-/// Builds by name: "vgg16" | "resnet18" | "resnet34".
+/// The accepted network names, as a diagnostic: "vgg16|resnet18|resnet34".
+std::string network_names();
+
+/// Paper-scale spec list of a named network. Throws std::invalid_argument
+/// "unknown network <name> (vgg16|resnet18|resnet34)" for any other name.
+std::vector<LayerSpec> network_specs(const std::string& name, int input_hw = 224);
+
+/// Builds a named network; unknown names throw as network_specs does.
 std::unique_ptr<nn::Sequential> build_model(const std::string& name,
                                             const BuildOptions& options);
 

@@ -108,13 +108,18 @@ namespace {
 
 // Appends one ResNet basic block (two 3x3 convs); `hw` is the block's input
 // spatial size, `stride` applies to the first conv (and the projection).
+// Without a projection the block is an identity block: its second conv
+// declares the skip from the first conv's input.
 void append_basic_block(std::vector<LayerSpec>& out, const std::string& prefix,
                         int in_ch, int out_ch, int hw, int stride) {
+  const int entry = static_cast<int>(out.size());
   out.push_back(conv(prefix + "_a", in_ch, out_ch, hw, 3, stride, 1));
   const int mid_hw = (hw + 2 - 3) / stride + 1;
   out.push_back(conv(prefix + "_b", out_ch, out_ch, mid_hw, 3, 1, 1));
   if (stride != 1 || in_ch != out_ch) {
     out.push_back(conv(prefix + "_proj", in_ch, out_ch, hw, 1, stride, 0));
+  } else {
+    out.back().skip_from = entry;
   }
 }
 

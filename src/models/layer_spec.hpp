@@ -33,6 +33,12 @@ struct LayerSpec {
   int in_features = 0;
   int out_features = 0;
 
+  /// Declared identity skip: the input fmap of spec `skip_from` (an absolute
+  /// index into the same spec list) is added to this layer's output before
+  /// the next weight layer consumes it. Set only on the conv that closes a
+  /// ResNet identity block; -1 = no skip.
+  int skip_from = -1;
+
   [[nodiscard]] int out_h() const { return (in_h + 2 * padding - kernel) / stride + 1; }
   [[nodiscard]] int out_w() const { return (in_w + 2 * padding - kernel) / stride + 1; }
 

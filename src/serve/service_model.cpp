@@ -6,17 +6,14 @@
 #include <stdexcept>
 #include <utility>
 
+#include "models/build.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/batch_model.hpp"
 
 namespace sealdl::serve {
 
 NamedNetwork named_network(const std::string& name) {
-  if (name == "vgg16") return {name, models::vgg16_specs()};
-  if (name == "resnet18") return {name, models::resnet18_specs()};
-  if (name == "resnet34") return {name, models::resnet34_specs()};
-  throw std::invalid_argument("unknown network " + name +
-                              " (vgg16|resnet18|resnet34)");
+  return {name, models::network_specs(name)};
 }
 
 namespace {

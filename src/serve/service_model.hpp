@@ -29,8 +29,8 @@ struct NamedNetwork {
   std::vector<models::LayerSpec> specs;
 };
 
-/// Resolves "vgg16" | "resnet18" | "resnet34" to its paper-scale spec list;
-/// throws std::invalid_argument for anything else.
+/// Resolves a network name through models::network_specs (paper scale);
+/// throws std::invalid_argument for an unknown name.
 NamedNetwork named_network(const std::string& name);
 
 class ServiceModel {

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <sstream>
 #include <stdexcept>
 
 namespace sealdl::util {
@@ -65,6 +66,16 @@ std::vector<std::string> CliFlags::unused() const {
     if (!queried_.count(name)) out.push_back(name);
   }
   return out;
+}
+
+std::vector<std::string> split_csv(const std::string& csv) {
+  std::vector<std::string> items;
+  std::stringstream stream(csv);
+  std::string item;
+  while (std::getline(stream, item, ',')) {
+    if (!item.empty()) items.push_back(item);
+  }
+  return items;
 }
 
 }  // namespace sealdl::util

@@ -40,4 +40,7 @@ class CliFlags {
   std::vector<std::string> positional_;
 };
 
+/// Splits a comma-separated flag value into its non-empty items.
+std::vector<std::string> split_csv(const std::string& csv);
+
 }  // namespace sealdl::util

@@ -10,11 +10,6 @@ namespace {
 
 using models::LayerSpec;
 
-bool ends_with(const std::string& s, const char* suffix) {
-  const std::size_t n = std::char_traits<char>::length(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
 [[noreturn]] void not_applicable(Injection injection, const char* why) {
   throw std::invalid_argument(std::string("inject ") + injection_name(injection) +
                               " not applicable: " + why);
@@ -52,10 +47,16 @@ void apply_plan_injection(AnalysisInput& input) {
     case Injection::kPlanResidual: {
       auto& layers = require_plan(input).mutable_layers();
       const std::vector<int> plan_index = core::ModelLayout::plan_indices(input.specs);
-      for (const ResidualEdge& edge : input.residuals) {
-        auto& entry = layers[static_cast<std::size_t>(plan_index[edge.entry_spec])];
-        const auto& consumer =
-            layers[static_cast<std::size_t>(plan_index[edge.consumer_spec])];
+      for (std::size_t i = 0; i < input.specs.size(); ++i) {
+        const int source = input.specs[i].skip_from;
+        if (source < 0) continue;
+        // The skip's consumer: the first weight layer after the closing conv.
+        std::size_t next = i + 1;
+        while (next < plan_index.size() && plan_index[next] < 0) ++next;
+        if (next == plan_index.size()) continue;
+        auto& entry = layers[static_cast<std::size_t>(
+            plan_index[static_cast<std::size_t>(source)])];
+        const auto& consumer = layers[static_cast<std::size_t>(plan_index[next])];
         if (consumer.fully_encrypted || entry.fully_encrypted) continue;
         // Swap one shared encrypted row for a plain one: the row count (and
         // so the ratio rule) is preserved, but the union no longer covers
@@ -194,31 +195,18 @@ void apply_model_injection(AnalysisInput& input) {
 
 }  // namespace
 
-std::vector<ResidualEdge> residual_edges_from_names(
-    const std::vector<models::LayerSpec>& specs) {
-  std::vector<ResidualEdge> edges;
-  for (std::size_t i = 0; i + 1 < specs.size(); ++i) {
-    const LayerSpec& a = specs[i];
-    if (a.type != LayerSpec::Type::kConv || !ends_with(a.name, "_a")) continue;
-    const std::string prefix = a.name.substr(0, a.name.size() - 2);
-    const LayerSpec& b = specs[i + 1];
-    if (b.type != LayerSpec::Type::kConv || b.name != prefix + "_b") continue;
-    // A projection on the skip path gets its own plan layer; only identity
-    // skips carry the entry fmap's channels through unmodified.
-    if (i + 2 < specs.size() && specs[i + 2].name == prefix + "_proj") continue;
-    if (a.stride != 1 || a.in_channels != b.out_channels) continue;
-    std::size_t consumer = i + 2;
-    while (consumer < specs.size() && specs[consumer].type == LayerSpec::Type::kPool) {
-      ++consumer;
-    }
-    if (consumer >= specs.size()) continue;
-    edges.push_back(ResidualEdge{i, i + 1, consumer});
-  }
-  return edges;
-}
-
 AnalysisInput build_input(const std::vector<models::LayerSpec>& specs,
                           const BuildOptions& options) {
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const int from = specs[i].skip_from;
+    if (from == -1) continue;
+    const auto source = static_cast<std::size_t>(from);
+    if (from < 0 || source >= i || specs[source].type != LayerSpec::Type::kConv) {
+      throw std::invalid_argument(specs[i].name + ": skip_from " + std::to_string(from) +
+                                  " does not name an earlier CONV spec");
+    }
+  }
+
   AnalysisInput input;
   input.specs = specs;
   input.plan_options = options.plan;
@@ -229,7 +217,6 @@ AnalysisInput build_input(const std::vector<models::LayerSpec>& specs,
     if (s.type != LayerSpec::Type::kPool) is_conv.push_back(s.type == LayerSpec::Type::kConv);
   }
   input.boundary = core::boundary_layers(is_conv, options.plan);
-  input.residuals = residual_edges_from_names(specs);
 
   if (options.selective) {
     input.plan = core::EncryptionPlan::for_specs(specs, options.plan);

@@ -1,11 +1,11 @@
-// Model of one network-under-check: the plan, the laid-out address space,
-// and the residual topology.
+// Model of one network-under-check: the plan and the laid-out address space.
 //
 // build_input() runs the exact pipeline the timing runner executes
 // (core::EncryptionPlan::for_specs -> core::ModelLayout on a SecureHeap). The
 // layout's directory of placed buffers (core::Region) is the address map the
 // checkers interrogate without ever running the cycle simulator; nothing
-// here re-derives it.
+// here re-derives it. The residual topology is what the specs declare
+// (models::LayerSpec::skip_from); nothing here infers it from layer names.
 #pragma once
 
 #include <cstddef>
@@ -20,15 +20,6 @@
 
 namespace sealdl::verify {
 
-/// An identity skip connection reconstructed from ResNet-style spec names
-/// ("stageS_blockB_a"/"_b" with no "_proj"): the block-entry fmap is summed
-/// into the block output before the next weight layer consumes it.
-struct ResidualEdge {
-  std::size_t entry_spec = 0;     ///< the "_a" conv (its input is the skip source)
-  std::size_t exit_spec = 0;      ///< the "_b" conv (produces the block output)
-  std::size_t consumer_spec = 0;  ///< first weight layer after the block
-};
-
 struct AnalysisInput {
   std::vector<models::LayerSpec> specs;
   core::PlanOptions plan_options;
@@ -42,7 +33,6 @@ struct AnalysisInput {
   std::optional<core::ModelLayout> layout;
   /// Weight-layer boundary mask, parallel to the plan's layers.
   std::vector<bool> boundary;
-  std::vector<ResidualEdge> residuals;
   Injection inject = Injection::kNone;
 };
 
@@ -57,15 +47,11 @@ struct BuildOptions {
 
 /// Builds the analysis model for `specs`, applying `options.inject` at the
 /// pipeline stage that injection targets. Throws std::invalid_argument when
-/// the requested injection is not applicable to this workload/ratio (e.g.
+/// a spec's skip_from does not name an earlier CONV spec, or when the
+/// requested injection is not applicable to this workload/ratio (e.g.
 /// plan-residual on a topology without identity blocks).
 AnalysisInput build_input(const std::vector<models::LayerSpec>& specs,
                           const BuildOptions& options);
-
-/// Reconstructs identity skip edges from spec names (empty for chains like
-/// VGG that have none).
-std::vector<ResidualEdge> residual_edges_from_names(
-    const std::vector<models::LayerSpec>& specs);
 
 /// Bounds-safe row query: false for rows outside the stored vector (a
 /// malformed plan must never crash the checker that reports it).

@@ -211,9 +211,12 @@ class PlanResidualChecker final : public Checker {
 
   void run(const AnalysisInput& input, Report& report) const override {
     if (!input.plan) return;
-    for (const ResidualEdge& edge : input.residuals) {
-      const int ep = input.layout->plan_index(edge.entry_spec);
-      const int cp = input.layout->plan_index(edge.consumer_spec);
+    for (std::size_t i = 0; i < input.specs.size(); ++i) {
+      if (input.specs[i].skip_from < 0) continue;
+      const auto source = static_cast<std::size_t>(input.specs[i].skip_from);
+      // The sum feeds the first weight layer after the closing conv.
+      const int ep = input.layout->plan_index(source);
+      const int cp = input.layout->consumer_plan_index(i + 1);
       if (ep < 0 || cp < 0 ||
           static_cast<std::size_t>(ep) >= input.plan->layer_count() ||
           static_cast<std::size_t>(cp) >= input.plan->layer_count()) {
@@ -230,11 +233,11 @@ class PlanResidualChecker final : public Checker {
           continue;
         }
         report.add({"plan.residual", Severity::kError,
-                    input.specs[edge.entry_spec].name, 0, 0,
-                    "identity skip leaves channel " + std::to_string(r) +
-                        " plaintext while consumer " +
-                        input.specs[edge.consumer_spec].name +
-                        " encrypts row " + std::to_string(r)});
+                    input.specs[source].name, 0, 0,
+                    "identity skip closed by " + input.specs[i].name +
+                        " leaves channel " + std::to_string(r) +
+                        " plaintext while its consumer encrypts row " +
+                        std::to_string(r)});
       }
     }
   }

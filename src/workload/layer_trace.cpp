@@ -17,9 +17,8 @@ using models::LayerSpec;
 class ConvWarpProgram final : public BufferedWarpProgram {
  public:
   ConvWarpProgram(const LayerAddressing& layer, const LayerTraceOptions& options,
-                  std::uint64_t first_tile, std::uint64_t stride,
-                  std::uint64_t limit)
-      : layer_(layer), options_(options), tile_(first_tile), stride_(stride), limit_(limit),
+                  std::uint64_t first_tile, std::uint64_t limit)
+      : layer_(layer), options_(options), tile_(first_tile), limit_(limit),
         phase_(first_tile * 0x9E3779B97F4A7C15ULL >> 32) {
     const LayerSpec& s = layer_.spec;
     oc_block_ = std::min(options.oc_block, s.out_channels);
@@ -142,14 +141,14 @@ class ConvWarpProgram final : public BufferedWarpProgram {
       }
     }
     chunk_ = 0;
-    tile_ += stride_;
+    ++tile_;
     return true;
   }
 
  private:
   const LayerAddressing& layer_;
   LayerTraceOptions options_;
-  std::uint64_t tile_, stride_, limit_;
+  std::uint64_t tile_, limit_;
   std::uint64_t phase_ = 0;
   int oc_block_ = 0, tile_w_ = 0, tile_h_ = 0, ic_chunk_ = 0;
   int tiles_oc_ = 0, tiles_y_ = 0, tiles_x_ = 0, chunks_ = 0;
@@ -162,9 +161,8 @@ class ConvWarpProgram final : public BufferedWarpProgram {
 class PoolWarpProgram final : public BufferedWarpProgram {
  public:
   PoolWarpProgram(const LayerAddressing& layer, const LayerTraceOptions& options,
-                  std::uint64_t first_tile, std::uint64_t stride,
-                  std::uint64_t limit)
-      : layer_(layer), options_(options), tile_(first_tile), stride_(stride), limit_(limit) {}
+                  std::uint64_t first_tile, std::uint64_t limit)
+      : layer_(layer), options_(options), tile_(first_tile), limit_(limit) {}
 
   /// One tile = one (channel, output row).
   [[nodiscard]] std::uint64_t total_tiles() const {
@@ -200,14 +198,14 @@ class PoolWarpProgram final : public BufferedWarpProgram {
         layer_.ofmap_base + static_cast<std::uint64_t>(c) * layer_.ofmap_channel_pitch;
     emit_stores_covering(out_channel + static_cast<std::uint64_t>(oy) * static_cast<std::uint64_t>(s.out_w()) * 4,
                          static_cast<std::uint64_t>(s.out_w()) * 4);
-    tile_ += stride_;
+    ++tile_;
     return true;
   }
 
  private:
   const LayerAddressing& layer_;
   LayerTraceOptions options_;
-  std::uint64_t tile_, stride_, limit_;
+  std::uint64_t tile_, limit_;
 };
 
 // -------------------------------------------------------------------- FC ---
@@ -215,8 +213,8 @@ class PoolWarpProgram final : public BufferedWarpProgram {
 class FcWarpProgram final : public BufferedWarpProgram {
  public:
   FcWarpProgram(const LayerAddressing& layer, const LayerTraceOptions& options,
-                std::uint64_t first_tile, std::uint64_t stride, std::uint64_t limit)
-      : layer_(layer), options_(options), tile_(first_tile), stride_(stride), limit_(limit) {
+                std::uint64_t first_tile, std::uint64_t limit)
+      : layer_(layer), options_(options), tile_(first_tile), limit_(limit) {
     out_block_ = std::min(32, layer_.spec.out_features);
     in_chunk_ = std::min(256, layer_.spec.in_features);
     chunks_ = (layer_.spec.in_features + in_chunk_ - 1) / in_chunk_;
@@ -262,14 +260,14 @@ class FcWarpProgram final : public BufferedWarpProgram {
     emit_stores_covering(layer_.ofmap_base + static_cast<std::uint64_t>(o0) * 4,
                          static_cast<std::uint64_t>(os) * 4);
     chunk_ = 0;
-    tile_ += stride_;
+    ++tile_;
     return true;
   }
 
  private:
   const LayerAddressing& layer_;
   LayerTraceOptions options_;
-  std::uint64_t tile_, stride_, limit_;
+  std::uint64_t tile_, limit_;
   int out_block_ = 0, in_chunk_ = 0, chunks_ = 0;
   int chunk_ = 0;
   std::uint32_t pending_compute_ = 0;
@@ -280,7 +278,7 @@ LayerWork build(const LayerAddressing& layer, const LayerTraceOptions& options,
                 int num_warps, std::uint64_t max_tiles, int chunk_index,
                 int num_chunks) {
   // A scratch instance reports the tile count for this geometry.
-  const std::uint64_t total = Program(layer, options, 0, 1, 0).total_tiles();
+  const std::uint64_t total = Program(layer, options, 0, 0).total_tiles();
   const std::uint64_t limit = max_tiles ? std::min(max_tiles, total) : total;
   LayerWork work;
   work.total_tiles = total;
@@ -322,8 +320,8 @@ LayerWork build(const LayerAddressing& layer, const LayerTraceOptions& options,
                     static_cast<std::uint64_t>(num_chunks);
     if (sub_begin == sub_end) continue;  // empty programs skew SM load balance
     work.simulated_tiles += sub_end - sub_begin;
-    work.programs.push_back(std::make_unique<Program>(
-        layer, options, sub_begin, /*stride=*/1, sub_end));
+    work.programs.push_back(
+        std::make_unique<Program>(layer, options, sub_begin, sub_end));
   }
   return work;
 }

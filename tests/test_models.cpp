@@ -1,6 +1,10 @@
 // Model builders and full-scale layer specs: structure, shapes, and totals.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "core/weight_layers.hpp"
 #include "models/build.hpp"
 #include "models/layer_spec.hpp"
@@ -159,6 +163,22 @@ INSTANTIATE_TEST_SUITE_P(Models, BuildForward,
 
 TEST(Build, UnknownNameThrows) {
   EXPECT_THROW(build_model("alexnet", tiny()), std::invalid_argument);
+}
+
+TEST(NetworkTable, ResolvesEveryNameToItsSpecs) {
+  EXPECT_EQ(network_names(), "vgg16|resnet18|resnet34");
+  EXPECT_EQ(network_specs("vgg16", 64).size(), vgg16_specs(64).size());
+  EXPECT_EQ(network_specs("resnet18", 64).size(), resnet18_specs(64).size());
+  EXPECT_EQ(network_specs("resnet34").size(), resnet34_specs().size());
+}
+
+TEST(NetworkTable, UnknownNameThrowsNamingTheAcceptedSet) {
+  try {
+    (void)network_specs("vgg19", 224);
+    FAIL() << "vgg19 resolved";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "unknown network vgg19 (vgg16|resnet18|resnet34)");
+  }
 }
 
 TEST(Build, WidthDivScalesParameterCount) {

@@ -214,6 +214,13 @@ TEST(Cli, ReportsUnusedFlags) {
   EXPECT_EQ(unused[0], "typo");
 }
 
+TEST(Cli, SplitCsvKeepsNonEmptyItems) {
+  EXPECT_EQ(split_csv("vgg16,resnet18"), (std::vector<std::string>{"vgg16", "resnet18"}));
+  EXPECT_EQ(split_csv(",vgg16,,resnet34,"),
+            (std::vector<std::string>{"vgg16", "resnet34"}));
+  EXPECT_TRUE(split_csv("").empty());
+}
+
 TEST(Cli, MissingFlagFallsBack) {
   const char* argv[] = {"prog"};
   CliFlags flags(1, const_cast<char**>(argv));

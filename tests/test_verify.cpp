@@ -8,6 +8,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "models/layer_spec.hpp"
@@ -140,22 +141,74 @@ TEST(VerifyInject, CorruptedPlanCaughtAtPlanAndTraceLevel) {
 
 // ------------------------------------------------------------- topology ---
 
-TEST(VerifyTopology, ResidualEdgesReconstructedFromNames) {
-  const auto r18 = residual_edges_from_names(models::resnet18_specs(kInputHw));
-  EXPECT_FALSE(r18.empty());
-  const auto specs = models::resnet18_specs(kInputHw);
-  for (const ResidualEdge& edge : r18) {
-    EXPECT_LT(edge.entry_spec, edge.exit_spec);
-    EXPECT_LT(edge.exit_spec, edge.consumer_spec);
-    EXPECT_NE(specs[edge.consumer_spec].type, models::LayerSpec::Type::kPool);
+// (source, closing conv) pairs of every declared identity skip.
+std::vector<std::pair<std::size_t, std::size_t>> declared_skips(
+    const std::vector<models::LayerSpec>& specs) {
+  std::vector<std::pair<std::size_t, std::size_t>> skips;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (specs[i].skip_from >= 0) {
+      skips.emplace_back(static_cast<std::size_t>(specs[i].skip_from), i);
+    }
   }
-  EXPECT_TRUE(residual_edges_from_names(models::vgg16_specs(kInputHw)).empty());
+  return skips;
 }
 
-TEST(VerifyTopology, Resnet34HasMoreIdentityBlocksThanResnet18) {
-  const auto r18 = residual_edges_from_names(models::resnet18_specs(kInputHw));
-  const auto r34 = residual_edges_from_names(models::resnet34_specs(kInputHw));
-  EXPECT_GT(r34.size(), r18.size());
+TEST(VerifyTopology, DeclaredSkipsPrecedeANonPoolConsumer) {
+  const struct {
+    const char* name;
+    std::vector<models::LayerSpec> specs;
+    std::size_t skips;
+  } nets[] = {{"vgg16", models::vgg16_specs(kInputHw), 0},
+              {"resnet18", models::resnet18_specs(kInputHw), 5},
+              {"resnet34", models::resnet34_specs(kInputHw), 13}};
+  for (const auto& net : nets) {
+    const auto skips = declared_skips(net.specs);
+    EXPECT_EQ(skips.size(), net.skips) << net.name;
+    for (const auto& [source, closing] : skips) {
+      EXPECT_LT(source, closing) << net.name;
+      EXPECT_EQ(net.specs[source].type, models::LayerSpec::Type::kConv);
+      EXPECT_EQ(net.specs[closing].type, models::LayerSpec::Type::kConv);
+      std::size_t consumer = closing + 1;
+      while (consumer < net.specs.size() &&
+             net.specs[consumer].type == models::LayerSpec::Type::kPool) {
+        ++consumer;
+      }
+      EXPECT_LT(consumer, net.specs.size()) << net.specs[closing].name;
+    }
+  }
+}
+
+TEST(VerifyTopology, RenamedLayersKeepTheirSkips) {
+  // Topology is declared, not parsed from names: relabelling every layer
+  // keeps every skip, and plan.residual still catches a broken union.
+  const auto specs = models::resnet18_specs(kInputHw);
+  auto renamed = specs;
+  for (std::size_t i = 0; i < renamed.size(); ++i) {
+    renamed[i].name = "layer" + std::to_string(i) + "_conv" + std::to_string(i % 2 + 1);
+  }
+  EXPECT_EQ(declared_skips(renamed), declared_skips(specs));
+
+  BuildOptions options;
+  options.inject = Injection::kPlanResidual;
+  const Report report = check(renamed, options);
+  EXPECT_TRUE(report.fired("plan.residual")) << report.to_text();
+}
+
+TEST(VerifyTopology, SkipFromMustNameAnEarlierConv) {
+  const auto specs = models::resnet18_specs(kInputHw);
+  const auto skips = declared_skips(specs);
+  ASSERT_FALSE(skips.empty());
+  const std::size_t closing = skips.front().second;
+  std::size_t pool = 0;
+  while (specs[pool].type != models::LayerSpec::Type::kPool) ++pool;
+  ASSERT_LT(pool, closing);
+  for (const int bad : {static_cast<int>(closing), static_cast<int>(closing) + 1,
+                        static_cast<int>(pool), -2}) {
+    auto broken = specs;
+    broken[closing].skip_from = bad;
+    EXPECT_THROW(build_input(broken, BuildOptions{}), std::invalid_argument)
+        << "skip_from " << bad;
+  }
 }
 
 // ---------------------------------------------------------------- report ---

@@ -1,10 +1,14 @@
 // Additional workload-generator behaviour: software pipelining structure,
-// phase-rotation coverage, adaptive refinement, determinism.
+// phase-rotation coverage, adaptive refinement, determinism, and the --chunk
+// tile split's partition invariants.
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <unordered_map>
 
 #include "core/model_layout.hpp"
+#include "models/layer_spec.hpp"
 #include "workload/gemm_trace.hpp"
 #include "workload/layer_trace.hpp"
 
@@ -184,6 +188,62 @@ TEST(Generators, GemmAddressesStayInsideMatrices) {
       }
     }
   }
+}
+
+// What a build's programs do, independent of which program does it or in
+// what order: the multiset of memory ops, keyed (line << 1 | is_store), and
+// the summed compute count.
+struct OpCensus {
+  std::unordered_map<std::uint64_t, std::uint64_t> memory;
+  std::uint64_t compute = 0;
+};
+
+void take_census(LayerWork& work, OpCensus& census) {
+  for (auto& program : work.programs) {
+    while (auto op = program->next()) {
+      if (op->kind == sim::WarpOp::Kind::kLoad) ++census.memory[op->addr << 1];
+      if (op->kind == sim::WarpOp::Kind::kStore) ++census.memory[op->addr << 1 | 1];
+      if (op->kind == sim::WarpOp::Kind::kCompute) census.compute += op->count;
+    }
+  }
+}
+
+TEST(ChunkPartition, ChunksReplayTheUnchunkedBuildExactly) {
+  // The tile-split analogue of ModelLayout.DirectoryPartitionsTheHeap: for
+  // every layer, cap and chunk count, the chunks report the layer's tile
+  // count, their simulated tiles neither overlap nor miss (they sum to the
+  // unchunked slice), and together they issue exactly the unchunked build's
+  // loads, stores and compute.
+  constexpr int kWarps = 12;
+  int combinations = 0;
+  for (const auto& specs : {models::vgg16_specs(96), models::resnet18_specs(96)}) {
+    core::SecureHeap heap;
+    const core::ModelLayout layout(specs, nullptr, heap);
+    for (const core::LayerAddressing& layer : layout.layers()) {
+      for (const std::uint64_t cap : {0u, 48u}) {
+        LayerWork whole = make_layer_programs(layer, kWarps, cap);
+        OpCensus expected;
+        take_census(whole, expected);
+        for (const int chunks : {1, 2, 3, 7}) {
+          std::uint64_t simulated = 0;
+          OpCensus replayed;
+          for (int c = 0; c < chunks; ++c) {
+            LayerWork part = make_layer_programs(layer, kWarps, cap, {}, c, chunks);
+            EXPECT_EQ(part.total_tiles, whole.total_tiles) << layer.spec.name;
+            simulated += part.simulated_tiles;
+            take_census(part, replayed);
+          }
+          const std::string where = layer.spec.name + " cap " + std::to_string(cap) +
+                                    " chunks " + std::to_string(chunks);
+          EXPECT_EQ(simulated, whole.simulated_tiles) << where;
+          EXPECT_EQ(replayed.compute, expected.compute) << where;
+          EXPECT_TRUE(replayed.memory == expected.memory) << where;
+          ++combinations;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(combinations, 344);
 }
 
 }  // namespace

@@ -77,14 +77,20 @@ function(check_ledger tool name pinned_skips)
   message(STATUS "${tool} inject ledger OK: ${exercised} exercised + ${skipped} skipped == ${total} rows, 0 missed")
 endfunction()
 
-# VGG-16 has no residual topology: exactly plan-residual has nothing to
+# VGG-16 declares no identity skip: exactly plan-residual has nothing to
 # corrupt. Baseline's scope none has no must-cipher line: exactly
-# scheme-wire and scheme-boundary are skipped. The fleet rows always apply.
+# scheme-wire and scheme-boundary are skipped. No other ledger skips a row.
 check_ledger(sealdl-check check "plan-residual"
              ${CHECK_BIN} --workload vgg16)
+foreach(net resnet18 resnet34)
+  check_ledger(sealdl-check check_${net} "" ${CHECK_BIN} --workload ${net})
+endforeach()
 check_ledger(sealdl-sim sim "scheme-wire;scheme-boundary"
              ${SIM_BIN} --workload resnet18 --input 64 --tiles 24
              --scheme baseline)
+check_ledger(sealdl-sim sim_seal-c ""
+             ${SIM_BIN} --workload resnet18 --input 64 --tiles 24
+             --scheme seal-c)
 check_ledger(sealdl-serve serve ""
              ${SERVE_BIN} --networks vgg16 --rate 40 --duration 0.05
              --tiles 32 --devices 2)

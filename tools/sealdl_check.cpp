@@ -16,12 +16,13 @@
 //
 // Exit codes: 0 = clean (or every injected violation was caught),
 // 1 = findings (or an injection went undetected), 2 = usage error.
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "models/layer_spec.hpp"
+#include "models/build.hpp"
 #include "telemetry/report.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
@@ -31,15 +32,6 @@
 using namespace sealdl;
 
 namespace {
-
-std::vector<models::LayerSpec> parse_workload(const std::string& name,
-                                              int input_hw) {
-  if (name == "vgg16") return models::vgg16_specs(input_hw);
-  if (name == "resnet18") return models::resnet18_specs(input_hw);
-  if (name == "resnet34") return models::resnet34_specs(input_hw);
-  throw std::invalid_argument("unknown --workload " + name +
-                              " (vgg16|resnet18|resnet34)");
-}
 
 core::RowPolicy parse_policy(const std::string& name) {
   if (name == "smallest") return core::RowPolicy::kSmallestL1Plain;
@@ -122,7 +114,7 @@ verify::StagedInjection stage_injection(
     const verify::TraceCheckOptions& trace_options,
     const std::string& workload, verify::Injection injection) {
   if (injection == verify::Injection::kPlanResidual &&
-      verify::residual_edges_from_names(specs).empty()) {
+      std::ranges::none_of(specs, [](const auto& spec) { return spec.skip_from >= 0; })) {
     return {verify::Report(), "no residual topology in " + workload};
   }
   options.inject = injection;
@@ -169,7 +161,7 @@ int main(int argc, char** argv) {
     }
 
     const std::vector<models::LayerSpec> specs =
-        parse_workload(workload, input_hw);
+        models::network_specs(workload, input_hw);
 
     if (!inject_name.empty()) {
       return verify::run_injections(

@@ -67,20 +67,6 @@ using namespace sealdl;
 
 namespace {
 
-std::vector<std::string> split_csv(const std::string& csv) {
-  std::vector<std::string> out;
-  std::size_t begin = 0;
-  while (begin <= csv.size()) {
-    const std::size_t end = csv.find(',', begin);
-    const std::string item =
-        csv.substr(begin, end == std::string::npos ? std::string::npos : end - begin);
-    if (!item.empty()) out.push_back(item);
-    if (end == std::string::npos) break;
-    begin = end + 1;
-  }
-  return out;
-}
-
 /// Stages one fleet-* injection row on a copy of a healthy fleet report.
 verify::StagedInjection stage_injection(verify::Injection injection,
                                         const serve::FleetOptions& options,
@@ -190,7 +176,7 @@ int run(int argc, char** argv) {
   }
 
   std::vector<serve::NamedNetwork> networks;
-  for (const std::string& name : split_csv(networks_csv)) {
+  for (const std::string& name : util::split_csv(networks_csv)) {
     networks.push_back(serve::named_network(name));
   }
 

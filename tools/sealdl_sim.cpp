@@ -56,7 +56,7 @@
 #include <string>
 #include <vector>
 
-#include "models/layer_spec.hpp"
+#include "models/build.hpp"
 #include "sim/gpu_simulator.hpp"
 #include "sim/scheme_registry.hpp"
 #include "telemetry/collect.hpp"
@@ -178,12 +178,13 @@ int run(int argc, char** argv) {
   const std::string scheme_audit_json = flags.get("scheme-audit-json", "");
   const bool scheme_audit = flags.get_bool("scheme-audit", false) ||
                             !scheme_audit_json.empty() || !inject.empty();
-  if (scheme_audit && workload != "vgg16" && workload != "resnet18" &&
-      workload != "resnet34") {
-    throw std::invalid_argument(
-        "--scheme-audit/--inject need a network workload "
-        "(vgg16|resnet18|resnet34): the taint probe classifies addresses "
-        "against the network layout");
+  const bool single_layer =
+      workload == "conv" || workload == "pool" || workload == "fc";
+  if (scheme_audit && (single_layer || workload == "gemm")) {
+    throw std::invalid_argument("--scheme-audit/--inject need a network workload (" +
+                                models::network_names() +
+                                "): the taint probe classifies addresses "
+                                "against the network layout");
   }
   // With --inject, --json names the injection ledger, not the run report.
   const std::string report_path = inject.empty() ? json_path : "";
@@ -219,8 +220,6 @@ int run(int argc, char** argv) {
   std::optional<verify::TaintAuditor> auditor;
   verify::SchemeRunEvidence evidence;
 
-  const bool single_layer =
-      workload == "conv" || workload == "pool" || workload == "fc";
   if (single_layer) {
     // A lone layer is a network *body* layer, not a boundary layer; the
     // boundary policy would otherwise fully encrypt it regardless of ratio.
@@ -266,7 +265,7 @@ int run(int argc, char** argv) {
         collect->profile().layers.push_back(std::move(layer_profile));
       }
     }
-  } else if (workload == "conv" || workload == "pool" || workload == "fc") {
+  } else if (single_layer) {
     models::LayerSpec spec;
     spec.name = workload;
     if (workload == "fc") {
@@ -297,11 +296,7 @@ int run(int argc, char** argv) {
     print_stats(result.stats, result.scale, config);
   } else {
     const int input = static_cast<int>(flags.get_int("input", 224));
-    const auto specs = workload == "vgg16"      ? models::vgg16_specs(input)
-                       : workload == "resnet18" ? models::resnet18_specs(input)
-                       : workload == "resnet34"
-                           ? models::resnet34_specs(input)
-                           : throw std::invalid_argument("unknown --workload " + workload);
+    const auto specs = models::network_specs(workload, input);
     if (scheme_audit) {
       verify::BuildOptions build;
       build.plan = options.plan;
