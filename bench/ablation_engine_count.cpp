@@ -17,6 +17,8 @@ int main_impl(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   const auto tiles = static_cast<std::uint64_t>(flags.get_int("tiles", 480));
   const int input = static_cast<int>(flags.get_int("input", 224));
+  const int jobs = bench::jobs_from_flags(flags);
+  bench::check_flags(flags);
 
   bench::banner("Ablation — AES engines per memory controller (Direct, VGG-16)",
                 "one engine per controller is the paper's cost-constrained "
@@ -26,7 +28,7 @@ int main_impl(int argc, char** argv) {
   const auto specs = models::vgg16_specs(input);
   workload::RunOptions options;
   options.max_tiles_per_layer = tiles;
-  options.jobs = bench::jobs_from_flags(flags);
+  options.jobs = jobs;
 
   const double baseline =
       workload::run_network(specs, sim::GpuConfig::gtx480(), options).overall_ipc();
@@ -58,11 +60,12 @@ int main_impl(int argc, char** argv) {
                  util::Table::fmt(result.overall_ipc() / baseline, 2)});
   table.print();
 
-  bench::check_flags(flags);
   return 0;
 }
 
 }  // namespace
 }  // namespace sealdl
 
-int main(int argc, char** argv) { return sealdl::main_impl(argc, argv); }
+int main(int argc, char** argv) {
+  return sealdl::bench::run_main(sealdl::main_impl, argc, argv);
+}

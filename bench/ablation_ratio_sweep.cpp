@@ -18,6 +18,8 @@ int main_impl(int argc, char** argv) {
   const auto tiles = static_cast<std::uint64_t>(flags.get_int("tiles", 480));
   const int input = static_cast<int>(flags.get_int("input", 224));
   const std::string model = flags.get("model", "vgg16");
+  const int jobs = bench::jobs_from_flags(flags);
+  bench::check_flags(flags);
   const auto specs = models::network_specs(model, input);
 
   bench::banner("Ablation — encryption-ratio sweep (SEAL-D on " + model + ")",
@@ -28,7 +30,7 @@ int main_impl(int argc, char** argv) {
   // Baseline and full-encryption anchors.
   workload::RunOptions options;
   options.max_tiles_per_layer = tiles;
-  options.jobs = bench::jobs_from_flags(flags);
+  options.jobs = jobs;
   sim::GpuConfig base_config = sim::GpuConfig::gtx480();
   const double baseline =
       workload::run_network(specs, base_config, options).overall_ipc();
@@ -54,11 +56,12 @@ int main_impl(int argc, char** argv) {
   }
   table.print();
 
-  bench::check_flags(flags);
   return 0;
 }
 
 }  // namespace
 }  // namespace sealdl
 
-int main(int argc, char** argv) { return sealdl::main_impl(argc, argv); }
+int main(int argc, char** argv) {
+  return sealdl::bench::run_main(sealdl::main_impl, argc, argv);
+}

@@ -17,6 +17,7 @@ namespace {
 int main_impl(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
+  bench::check_flags(flags);
 
   bench::banner("Ablation — row-selection policy at 50% ratio (vgg16)",
                 "the SE scheme leaves the smallest-l1 rows plaintext; exposing "
@@ -81,11 +82,12 @@ int main_impl(int argc, char** argv) {
   }
   table.print();
 
-  bench::check_flags(flags);
   return 0;
 }
 
 }  // namespace
 }  // namespace sealdl
 
-int main(int argc, char** argv) { return sealdl::main_impl(argc, argv); }
+int main(int argc, char** argv) {
+  return sealdl::bench::run_main(sealdl::main_impl, argc, argv);
+}

@@ -32,6 +32,7 @@ int main_impl(int argc, char** argv) {
   const auto chunk = static_cast<std::uint64_t>(flags.get_int("chunk", 0));
   const bool fast_path = !flags.get_bool("no-fast-path", false);
   const std::string out = flags.get("out", "BENCH_parallel.json");
+  bench::check_flags(flags);
 
   bench::banner("Parallel scaling — fig7 workload wall time vs --jobs",
                 "layer-level parallelism should cut full-sweep turnaround "
@@ -120,11 +121,12 @@ int main_impl(int argc, char** argv) {
   telemetry::write_text_file(out, json.str());
   std::printf("\nwrote %s\n", out.c_str());
 
-  bench::check_flags(flags);
   return 0;
 }
 
 }  // namespace
 }  // namespace sealdl
 
-int main(int argc, char** argv) { return sealdl::main_impl(argc, argv); }
+int main(int argc, char** argv) {
+  return sealdl::bench::run_main(sealdl::main_impl, argc, argv);
+}

@@ -113,6 +113,7 @@ int main_impl(int argc, char** argv) {
   const double slo_ms = flags.get_double("slo", 250.0);
   const double capacity_duration = flags.get_double("capacity-duration", 120.0);
   const std::string out = flags.get("out", "BENCH_serving.json");
+  bench::check_flags(flags);
 
   bench::banner("Serving — offered load x scheme (VGG-16, open-loop Poisson)",
                 "encryption inflates service time, so the same offered load "
@@ -305,11 +306,12 @@ int main_impl(int argc, char** argv) {
   telemetry::write_text_file(out, json.str());
   std::printf("wrote %s\n", out.c_str());
 
-  bench::check_flags(flags);
   return 0;
 }
 
 }  // namespace
 }  // namespace sealdl
 
-int main(int argc, char** argv) { return sealdl::main_impl(argc, argv); }
+int main(int argc, char** argv) {
+  return sealdl::bench::run_main(sealdl::main_impl, argc, argv);
+}

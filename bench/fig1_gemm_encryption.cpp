@@ -34,6 +34,7 @@ int main_impl(int argc, char** argv) {
   const int dim = static_cast<int>(flags.get_int("dim", 1024));
   const auto tiles = static_cast<std::uint64_t>(flags.get_int("tiles", 960));
   const bool sweep = flags.get_bool("sweep", false);
+  bench::check_flags(flags);
 
   bench::banner("Figure 1 — GEMM under straightforward memory encryption",
                 "encryption decreases GPU IPC by 45-54% on matrix "
@@ -97,11 +98,12 @@ int main_impl(int argc, char** argv) {
   std::printf("\nFig 1b — counter-cache hit rate vs capacity\n");
   fig1b.print();
 
-  bench::check_flags(flags);
   return 0;
 }
 
 }  // namespace
 }  // namespace sealdl
 
-int main(int argc, char** argv) { return sealdl::main_impl(argc, argv); }
+int main(int argc, char** argv) {
+  return sealdl::bench::run_main(sealdl::main_impl, argc, argv);
+}

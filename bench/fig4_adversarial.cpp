@@ -47,6 +47,11 @@ int main_impl(int argc, char** argv) {
   const int examples = static_cast<int>(flags.get_int("examples", quick ? 60 : 100));
   const auto models =
       util::split_csv(flags.get("models", quick ? "vgg16" : "vgg16,resnet18,resnet34"));
+  // Generous L-inf ball: the width-scaled substitutes share less gradient
+  // geometry with the victim than the paper's full-size models, so small-eps
+  // examples transfer to nothing and the figure degenerates. --eps tunes it.
+  const auto epsilon = static_cast<float>(flags.get_double("eps", 1.0));
+  bench::check_flags(flags);
   const std::vector<double> ratios =
       quick ? std::vector<double>{0.9, 0.5, 0.2}
             : std::vector<double>{0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1};
@@ -57,10 +62,7 @@ int main_impl(int argc, char** argv) {
 
   attack::IfgsmOptions ifgsm;
   ifgsm.max_iters = 15;
-  // Generous L-inf ball: the width-scaled substitutes share less gradient
-  // geometry with the victim than the paper's full-size models, so small-eps
-  // examples transfer to nothing and the figure degenerates. --eps tunes it.
-  ifgsm.epsilon = static_cast<float>(flags.get_double("eps", 1.0));
+  ifgsm.epsilon = epsilon;
   ifgsm.alpha = ifgsm.epsilon / 10.0f;
 
   std::vector<std::string> header{"substitute"};
@@ -113,11 +115,12 @@ int main_impl(int argc, char** argv) {
   }
   table.print();
 
-  bench::check_flags(flags);
   return 0;
 }
 
 }  // namespace
 }  // namespace sealdl
 
-int main(int argc, char** argv) { return sealdl::main_impl(argc, argv); }
+int main(int argc, char** argv) {
+  return sealdl::bench::run_main(sealdl::main_impl, argc, argv);
+}

@@ -15,6 +15,8 @@ int main_impl(int argc, char** argv) {
   const auto tiles = static_cast<std::uint64_t>(flags.get_int("tiles", 960));
   const double ratio = flags.get_double("ratio", 0.5);
   const int jobs = bench::jobs_from_flags(flags);
+  auto collect = bench::telemetry_from_flags(flags);
+  bench::check_flags(flags);
 
   bench::banner("Figure 5 — per-CONV-layer IPC normalized to Baseline",
                 "Direct/Counter reduce IPC by up to 40%; SEAL-D/SEAL-C improve "
@@ -23,7 +25,6 @@ int main_impl(int argc, char** argv) {
   const auto layers = models::fig5_conv_layers();
   util::Table table({"scheme", "CONV-1", "CONV-2", "CONV-3", "CONV-4", "mean"});
 
-  auto collect = bench::telemetry_from_flags(flags);
   std::vector<double> baseline(layers.size(), 0.0);
   for (const auto& scheme : bench::five_schemes()) {
     std::vector<std::string> row{scheme.name};
@@ -45,11 +46,12 @@ int main_impl(int argc, char** argv) {
 
   bench::export_telemetry(flags, "fig5_conv_layers", sim::GpuConfig::gtx480(),
                           collect.get());
-  bench::check_flags(flags);
   return 0;
 }
 
 }  // namespace
 }  // namespace sealdl
 
-int main(int argc, char** argv) { return sealdl::main_impl(argc, argv); }
+int main(int argc, char** argv) {
+  return sealdl::bench::run_main(sealdl::main_impl, argc, argv);
+}

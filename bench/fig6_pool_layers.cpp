@@ -14,6 +14,7 @@ int main_impl(int argc, char** argv) {
   const auto tiles = static_cast<std::uint64_t>(flags.get_int("tiles", 960));
   const double ratio = flags.get_double("ratio", 0.5);
   const int jobs = bench::jobs_from_flags(flags);
+  bench::check_flags(flags);
 
   bench::banner("Figure 6 — per-POOL-layer IPC normalized to Baseline",
                 "Direct/Counter reduce IPC by up to 50% (POOL is more "
@@ -43,11 +44,12 @@ int main_impl(int argc, char** argv) {
   }
   table.print();
 
-  bench::check_flags(flags);
   return 0;
 }
 
 }  // namespace
 }  // namespace sealdl
 
-int main(int argc, char** argv) { return sealdl::main_impl(argc, argv); }
+int main(int argc, char** argv) {
+  return sealdl::bench::run_main(sealdl::main_impl, argc, argv);
+}

@@ -16,6 +16,8 @@ int main_impl(int argc, char** argv) {
   const double ratio = flags.get_double("ratio", 0.5);
   const int input = static_cast<int>(flags.get_int("input", 224));
   const int jobs = bench::jobs_from_flags(flags);
+  auto collect = bench::telemetry_from_flags(flags);
+  bench::check_flags(flags);
 
   bench::banner("Figure 7 — overall IPC normalized to Baseline",
                 "Direct/Counter reduce whole-inference IPC by 30-38%; SEAL-D "
@@ -32,7 +34,6 @@ int main_impl(int argc, char** argv) {
   std::vector<double> baseline(nets.size(), 0.0);
   std::vector<std::vector<double>> normalized(bench::all_schemes().size());
 
-  auto collect = bench::telemetry_from_flags(flags);
   const auto schemes = bench::all_schemes();
   for (std::size_t s = 0; s < schemes.size(); ++s) {
     std::vector<std::string> row{schemes[s].name};
@@ -69,11 +70,12 @@ int main_impl(int argc, char** argv) {
 
   bench::export_telemetry(flags, "fig7_overall_ipc", sim::GpuConfig::gtx480(),
                           collect.get());
-  bench::check_flags(flags);
   return 0;
 }
 
 }  // namespace
 }  // namespace sealdl
 
-int main(int argc, char** argv) { return sealdl::main_impl(argc, argv); }
+int main(int argc, char** argv) {
+  return sealdl::bench::run_main(sealdl::main_impl, argc, argv);
+}

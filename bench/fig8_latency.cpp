@@ -15,6 +15,7 @@ int main_impl(int argc, char** argv) {
   const double ratio = flags.get_double("ratio", 0.5);
   const int input = static_cast<int>(flags.get_int("input", 224));
   const int jobs = bench::jobs_from_flags(flags);
+  bench::check_flags(flags);
 
   bench::banner("Figure 8 — inference latency normalized to Baseline",
                 "Direct/Counter increase latency by 39-60%; SEAL-D and SEAL-C "
@@ -66,11 +67,12 @@ int main_impl(int argc, char** argv) {
   std::printf("SEAL-C reduces latency vs Counter by  %.0f%% (paper: 26%%)\n",
               (1.0 - seal_c / counter) * 100.0);
 
-  bench::check_flags(flags);
   return 0;
 }
 
 }  // namespace
 }  // namespace sealdl
 
-int main(int argc, char** argv) { return sealdl::main_impl(argc, argv); }
+int main(int argc, char** argv) {
+  return sealdl::bench::run_main(sealdl::main_impl, argc, argv);
+}

@@ -15,6 +15,7 @@ namespace {
 int main_impl(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   const int lines = static_cast<int>(flags.get_int("lines", 4000));
+  bench::check_flags(flags);
 
   bench::banner("Table I — AES encryption engine implementations (counter mode)",
                 "published area/power/latency/throughput; the modeled SEAL "
@@ -67,11 +68,12 @@ int main_impl(int argc, char** argv) {
       sim::GpuConfig::gtx480().dram_bytes_per_cycle_per_channel() * 700e6 / 1e9,
       engine.throughput_gbps);
 
-  bench::check_flags(flags);
   return 0;
 }
 
 }  // namespace
 }  // namespace sealdl
 
-int main(int argc, char** argv) { return sealdl::main_impl(argc, argv); }
+int main(int argc, char** argv) {
+  return sealdl::bench::run_main(sealdl::main_impl, argc, argv);
+}

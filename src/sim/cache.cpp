@@ -1,6 +1,8 @@
 #include "sim/cache.hpp"
 
+#include <bit>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
 
 namespace sealdl::sim {
@@ -13,14 +15,13 @@ SetAssocCache::SetAssocCache(std::size_t capacity_bytes, int assoc, int line_byt
     throw std::invalid_argument("cache capacity must be a positive multiple of assoc*line");
   }
   ways_.resize(sets_ * static_cast<std::size_t>(assoc_));
-}
-
-std::size_t SetAssocCache::set_index(Addr addr) const {
-  return (addr / static_cast<Addr>(line_bytes_)) % sets_;
-}
-
-Addr SetAssocCache::tag_of(Addr addr) const {
-  return addr / static_cast<Addr>(line_bytes_) / sets_;
+  const auto line = static_cast<std::size_t>(line_bytes_);
+  pow2_ = std::has_single_bit(line) && std::has_single_bit(sets_);
+  if (pow2_) {
+    line_shift_ = std::countr_zero(line);
+    tag_shift_ = line_shift_ + std::countr_zero(sets_);
+    set_mask_ = static_cast<Addr>(sets_ - 1);
+  }
 }
 
 CacheResult SetAssocCache::access(Addr addr, bool mark_dirty) {
@@ -43,17 +44,22 @@ CacheResult SetAssocCache::insert(Addr addr, bool dirty) {
   const std::size_t set = set_index(addr);
   const std::size_t base = set * static_cast<std::size_t>(assoc_);
   const Addr tag = tag_of(addr);
-  // Prefer an invalid way, otherwise the least recently used one.
-  std::size_t victim = base;
+  // The LRU candidate only counts when every way is valid.
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  std::size_t invalid = kNone;
+  std::size_t lru = base;
   for (int w = 0; w < assoc_; ++w) {
-    const Way& way = ways_[base + static_cast<std::size_t>(w)];
+    const std::size_t i = base + static_cast<std::size_t>(w);
+    const Way& way = ways_[i];
     if (!way.valid) {
-      victim = base + static_cast<std::size_t>(w);
-      break;
+      if (invalid == kNone) invalid = i;
+    } else if (way.tag == tag) {
+      return {true, std::nullopt};
+    } else if (way.lru < ways_[lru].lru) {
+      lru = i;
     }
-    if (way.lru < ways_[victim].lru) victim = base + static_cast<std::size_t>(w);
   }
-  Way& way = ways_[victim];
+  Way& way = ways_[invalid != kNone ? invalid : lru];
   std::optional<Addr> writeback;
   if (way.valid && way.dirty) {
     // Reconstruct the victim's address from its tag and this set index.

@@ -31,8 +31,11 @@ class SetAssocCache {
   /// Does NOT allocate on miss — call insert() for that.
   CacheResult access(Addr addr, bool mark_dirty);
 
-  /// Allocates a line for `addr` (which must currently miss), evicting the
-  /// LRU way. Returns the dirty victim's address if one was displaced.
+  /// Allocates a line for `addr`, evicting the first invalid way, else the
+  /// least recently used one (ties to the earliest way). Returns the dirty
+  /// victim's address if one was displaced. One scan of the set also checks
+  /// residency: an already-resident line is left untouched (no LRU, dirty or
+  /// hit-rate update) and reported as `hit`.
   CacheResult insert(Addr addr, bool dirty);
 
   /// True if `addr`'s line is currently resident (no LRU update).
@@ -56,12 +59,25 @@ class SetAssocCache {
     std::uint64_t lru = 0;  ///< larger = more recently used
   };
 
-  [[nodiscard]] std::size_t set_index(Addr addr) const;
-  [[nodiscard]] Addr tag_of(Addr addr) const;
+  // Every access splits the address; with power-of-two line and set counts
+  // (the L2 slices) that is a shift and a mask, otherwise (the 96-set
+  // counter cache) a division.
+  [[nodiscard]] std::size_t set_index(Addr addr) const {
+    if (pow2_) return static_cast<std::size_t>((addr >> line_shift_) & set_mask_);
+    return (addr / static_cast<Addr>(line_bytes_)) % sets_;
+  }
+  [[nodiscard]] Addr tag_of(Addr addr) const {
+    if (pow2_) return addr >> tag_shift_;
+    return addr / static_cast<Addr>(line_bytes_) / sets_;
+  }
 
   std::size_t sets_;
   int assoc_;
   int line_bytes_;
+  bool pow2_ = false;  ///< line_bytes_ and sets_ are both powers of two
+  int line_shift_ = 0;
+  int tag_shift_ = 0;
+  Addr set_mask_ = 0;
   std::vector<Way> ways_;  ///< sets_ * assoc_, row-major by set
   std::uint64_t clock_ = 0;
   util::HitRate hits_;

@@ -17,9 +17,7 @@ L2ReadResult L2Slice::read(Cycle now, Addr addr, Waiter waiter, Cycle* fill_read
     hit_busy_until_ = std::max(hit_busy_until_, ready);
     return {true, ready, false};
   }
-  auto [it, inserted] = mshr_.try_emplace(addr);
-  it->second.push_back(waiter);
-  if (!inserted) {
+  if (!mshr_.add(addr, waiter)) {
     return {false, 0, true};  // merged into in-flight fill
   }
   *fill_ready =
@@ -30,17 +28,9 @@ L2ReadResult L2Slice::read(Cycle now, Addr addr, Waiter waiter, Cycle* fill_read
 void L2Slice::write(Cycle now, Addr addr) {
   const auto lookup = cache_.access(addr, /*mark_dirty=*/true);
   if (lookup.hit) return;
-  if (mshr_.count(addr)) {
-    // A fill is racing with this full-line store; install the line now so the
-    // store lands, and let complete_fill() detect the line is present.
-    const auto insert = cache_.insert(addr, /*dirty=*/true);
-    if (insert.writeback) {
-      controller_->write_line(now + static_cast<Cycle>(config_.l2_latency),
-                              *insert.writeback);
-    }
-    return;
-  }
-  // Full-line store: allocate without a read-for-ownership fill.
+  // Full-line store: allocate without a read-for-ownership fill. When a fill
+  // for the line is still pending the store lands now all the same, and
+  // complete_fill() finds the line present.
   const auto insert = cache_.insert(addr, /*dirty=*/true);
   if (insert.writeback) {
     controller_->write_line(now + static_cast<Cycle>(config_.l2_latency),
@@ -48,17 +38,11 @@ void L2Slice::write(Cycle now, Addr addr) {
   }
 }
 
-std::vector<Waiter> L2Slice::complete_fill(Cycle now, Addr addr) {
-  auto it = mshr_.find(addr);
-  std::vector<Waiter> waiters;
-  if (it != mshr_.end()) {
-    waiters = std::move(it->second);
-    mshr_.erase(it);
-  }
-  if (!cache_.contains(addr)) {
-    const auto insert = cache_.insert(addr, /*dirty=*/false);
-    if (insert.writeback) controller_->write_line(now, *insert.writeback);
-  }
+std::span<const Waiter> L2Slice::complete_fill(Cycle now, Addr addr) {
+  const std::span<const Waiter> waiters = mshr_.take(addr);
+  // Leaves the line alone if a racing full-line store already installed it.
+  const auto insert = cache_.insert(addr, /*dirty=*/false);
+  if (insert.writeback) controller_->write_line(now, *insert.writeback);
   return waiters;
 }
 

@@ -1,27 +1,21 @@
 // One per-channel slice of the shared L2 cache, with MSHR-style miss merging.
 //
 // Reads that hit are answered after the slice latency; misses are merged per
-// line and forwarded to the channel's memory controller. Stores are
-// write-back write-allocate; a full-line store allocates without a fill
-// (DL kernels write whole coalesced lines).
+// line (sim/mshr_table.hpp) and forwarded to the channel's memory
+// controller. Stores are write-back write-allocate; a full-line store
+// allocates without a fill (DL kernels write whole coalesced lines).
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
+#include <span>
 
 #include "sim/cache.hpp"
 #include "sim/gpu_config.hpp"
 #include "sim/mem_controller.hpp"
+#include "sim/mshr_table.hpp"
 #include "sim/request.hpp"
 
 namespace sealdl::sim {
-
-/// A load waiting for a line fill.
-struct Waiter {
-  int sm_id;
-  int warp_id;
-};
 
 /// Result of presenting a read to the slice.
 struct L2ReadResult {
@@ -45,8 +39,9 @@ class L2Slice {
   void write(Cycle now, Addr addr);
 
   /// Completes the fill for `addr`: installs the line, performs any dirty
-  /// writeback, and returns the waiters to notify.
-  std::vector<Waiter> complete_fill(Cycle now, Addr addr);
+  /// writeback, and returns the waiters to notify in arrival order. The span
+  /// stays valid until the slice's next call.
+  std::span<const Waiter> complete_fill(Cycle now, Addr addr);
 
   /// Flushes dirty lines to the controller (end of run drain).
   void flush(Cycle now);
@@ -64,7 +59,7 @@ class L2Slice {
   const GpuConfig& config_;
   MemoryController* controller_;
   SetAssocCache cache_;
-  std::unordered_map<Addr, std::vector<Waiter>> mshr_;
+  MshrTable mshr_;
   Cycle hit_busy_until_ = 0;
 };
 

@@ -1,5 +1,7 @@
 #include "sim/sm_core.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace sealdl::sim {
@@ -7,13 +9,17 @@ namespace sealdl::sim {
 SmCore::SmCore(const GpuConfig& config, int sm_id, DelayQueue<MemRequest>* to_l2)
     : config_(config), sm_id_(sm_id), to_l2_(to_l2) {
   warps_.resize(static_cast<std::size_t>(config.warps_per_sm));
+  ready_.resize(std::bit_ceil(std::max<std::size_t>(warps_.size(), 1)));
+  ready_mask_ = ready_.size() - 1;
+  window_wait_.reserve(warps_.size());
 }
 
 void SmCore::load_programs(std::vector<WarpProgramPtr> programs) {
   assert(programs.size() <= warps_.size());
   live_warps_ = 0;
   barrier_waiters_ = 0;
-  ready_.clear();
+  ready_head_ = 0;
+  ready_size_ = 0;
   window_wait_.clear();
   sm_outstanding_ = 0;
   launch_count_ = 0;
@@ -68,21 +74,20 @@ int SmCore::tick(Cycle now) {
   // the SM is starved of ready warps (short kernels, memory-bound phases)
   // the next warp launches immediately.
   while (next_launch_ < launch_count_ &&
-         (now >= next_launch_cycle_ || ready_.size() < 8)) {
+         (now >= next_launch_cycle_ || ready_size_ < 8)) {
     warps_[static_cast<std::size_t>(next_launch_)].wait = WarpWait::kReady;
-    ready_.push_back(next_launch_);
+    ready_push(next_launch_);
     ++next_launch_;
     next_launch_cycle_ = now + static_cast<Cycle>(config_.warp_start_stagger);
   }
   int issued = 0;
   // Bound the scan: each ready warp is inspected at most once per cycle.
   std::size_t inspected = 0;
-  const std::size_t ready_at_entry = ready_.size();
-  while (issued < config_.issue_width && !ready_.empty() &&
+  const std::size_t ready_at_entry = ready_size_;
+  while (issued < config_.issue_width && ready_size_ != 0 &&
          inspected < ready_at_entry) {
     ++inspected;
-    const int idx = ready_.front();
-    ready_.pop_front();
+    const int idx = ready_pop();
     WarpState& warp = warps_[static_cast<std::size_t>(idx)];
     if (!prepare(idx, warp)) continue;  // done or barrier-parked
 
@@ -115,7 +120,7 @@ int SmCore::tick(Cycle now) {
     }
     ++issued;
     ++instructions_;
-    ready_.push_back(idx);  // still runnable: back of the round-robin ring
+    ready_push(idx);  // still runnable: back of the round-robin ring
   }
   return issued;
 }
@@ -129,14 +134,14 @@ void SmCore::on_load_return(int warp_id) {
   if (warp.wait == WarpWait::kLoads &&
       warp.outstanding_loads <= warp.wait_threshold) {
     warp.wait = WarpWait::kReady;
-    ready_.push_back(warp_id);
+    ready_push(warp_id);
     --barrier_waiters_;
   }
   // A free window slot may unblock parked warps; let them re-check.
   if (!window_wait_.empty()) {
     for (const int idx : window_wait_) {
       warps_[static_cast<std::size_t>(idx)].wait = WarpWait::kReady;
-      ready_.push_back(idx);
+      ready_push(idx);
     }
     window_wait_.clear();
   }

@@ -7,8 +7,8 @@
 // memory-bound phases (the interesting ones for this paper) fast to simulate.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "sim/gpu_config.hpp"
@@ -57,7 +57,7 @@ class SmCore {
 
   /// True if at least one warp could issue right now (used by the simulator's
   /// idle-cycle fast-forward).
-  [[nodiscard]] bool has_ready_warp() const { return !ready_.empty(); }
+  [[nodiscard]] bool has_ready_warp() const { return ready_size_ != 0; }
 
   /// True while loaded warps have not yet entered the ready ring. The launch
   /// backfill clause in tick() can start one of them on ANY cycle (whenever
@@ -72,7 +72,7 @@ class SmCore {
   /// launch loop has nothing to start and the issue loop nothing to scan), so
   /// the fast path skips the call without perturbing any counter or census.
   [[nodiscard]] bool may_issue() const {
-    return !ready_.empty() || launches_pending();
+    return ready_size_ != 0 || launches_pending();
   }
 
   /// Cycle of the next staggered warp launch, or Cycle max when none pend.
@@ -101,11 +101,29 @@ class SmCore {
   /// barrier-blocked as needed. Returns true if the warp can issue now.
   bool prepare(int idx, WarpState& warp);
 
+  // The ready ring. A warp is queued at most once: it is popped before it
+  // issues and pushed back only on leaving a wait state (or after issuing),
+  // so a ring of at least warps_per_sm slots never overflows.
+  void ready_push(int idx) {
+    assert(ready_size_ < warps_.size());
+    ready_[(ready_head_ + ready_size_) & ready_mask_] = idx;
+    ++ready_size_;
+  }
+  int ready_pop() {
+    const int idx = ready_[ready_head_];
+    ready_head_ = (ready_head_ + 1) & ready_mask_;
+    --ready_size_;
+    return idx;
+  }
+
   const GpuConfig& config_;
   int sm_id_;
   DelayQueue<MemRequest>* to_l2_;
   std::vector<WarpState> warps_;
-  std::deque<int> ready_;        ///< round-robin issue order
+  std::vector<int> ready_;       ///< round-robin issue order (power-of-two ring)
+  std::size_t ready_head_ = 0;
+  std::size_t ready_size_ = 0;
+  std::size_t ready_mask_ = 0;
   std::vector<int> window_wait_; ///< warps parked on a full load window
   int next_launch_ = 0;          ///< warps [next_launch_, ...) not yet started
   Cycle next_launch_cycle_ = 0;

@@ -4,6 +4,25 @@
 #include <stdexcept>
 
 namespace sealdl::util {
+namespace {
+
+/// Parses all of `text` with `parse` (std::stoll/std::stod style), or throws
+/// std::invalid_argument naming the flag and the expected kind.
+template <typename Parse>
+auto parse_whole(const std::string& name, const std::string& text,
+                 const char* kind, Parse parse) {
+  std::size_t used = 0;
+  try {
+    const auto value = parse(text, &used);
+    if (used == text.size()) return value;
+  } catch (const std::logic_error&) {
+    // invalid_argument or out_of_range: reported below with the flag name.
+  }
+  throw std::invalid_argument("--" + name + ": expected " + kind + ", got '" +
+                              text + "'");
+}
+
+}  // namespace
 
 CliFlags::CliFlags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -44,13 +63,17 @@ std::int64_t CliFlags::get_int(const std::string& name,
                                std::int64_t fallback) const {
   queried_[name] = true;
   const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : std::stoll(it->second);
+  if (it == flags_.end()) return fallback;
+  return parse_whole(name, it->second, "an integer",
+                     [](const std::string& t, std::size_t* n) { return std::stoll(t, n); });
 }
 
 double CliFlags::get_double(const std::string& name, double fallback) const {
   queried_[name] = true;
   const auto it = flags_.find(name);
-  return it == flags_.end() ? fallback : std::stod(it->second);
+  if (it == flags_.end()) return fallback;
+  return parse_whole(name, it->second, "a number",
+                     [](const std::string& t, std::size_t* n) { return std::stod(t, n); });
 }
 
 bool CliFlags::get_bool(const std::string& name, bool fallback) const {
@@ -65,6 +88,12 @@ std::vector<std::string> CliFlags::unused() const {
   for (const auto& [name, _] : flags_) {
     if (!queried_.count(name)) out.push_back(name);
   }
+  return out;
+}
+
+std::vector<std::string> CliFlags::queried() const {
+  std::vector<std::string> out;
+  for (const auto& [name, _] : queried_) out.push_back(name);
   return out;
 }
 

@@ -20,6 +20,8 @@ class CliFlags {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& fallback) const;
+  /// The numeric getters throw std::invalid_argument naming the flag when
+  /// the value does not parse in full ("--jobs x", "--tiles 40abc").
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
@@ -33,6 +35,9 @@ class CliFlags {
   /// Names of all flags that were supplied but never queried — call at the end
   /// of main() to reject typos. Returns empty vector if everything was used.
   [[nodiscard]] std::vector<std::string> unused() const;
+
+  /// Names of every flag queried so far, supplied or not, in sorted order.
+  [[nodiscard]] std::vector<std::string> queried() const;
 
  private:
   std::map<std::string, std::string> flags_;

@@ -214,6 +214,28 @@ TEST(Cli, ReportsUnusedFlags) {
   EXPECT_EQ(unused[0], "typo");
 }
 
+TEST(Cli, MalformedNumbersNameTheFlag) {
+  const char* argv[] = {"prog", "--jobs", "x", "--tiles=40abc", "--ratio", "0.5.1"};
+  CliFlags flags(6, const_cast<char**>(argv));
+  try {
+    (void)flags.get_int("jobs", 1);
+    FAIL() << "--jobs x parsed";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "--jobs: expected an integer, got 'x'");
+  }
+  EXPECT_THROW((void)flags.get_int("tiles", 1), std::invalid_argument);
+  EXPECT_THROW((void)flags.get_double("ratio", 0.5), std::invalid_argument);
+}
+
+TEST(Cli, QueriedListsEveryReadFlag) {
+  const char* argv[] = {"prog", "--tile", "40"};
+  CliFlags flags(3, const_cast<char**>(argv));
+  (void)flags.get_int("tiles", 480);
+  (void)flags.get("json", "");
+  EXPECT_EQ(flags.queried(), (std::vector<std::string>{"json", "tiles"}));
+  EXPECT_EQ(flags.unused(), std::vector<std::string>{"tile"});
+}
+
 TEST(Cli, SplitCsvKeepsNonEmptyItems) {
   EXPECT_EQ(split_csv("vgg16,resnet18"), (std::vector<std::string>{"vgg16", "resnet18"}));
   EXPECT_EQ(split_csv(",vgg16,,resnet34,"),
