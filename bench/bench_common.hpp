@@ -29,7 +29,7 @@ namespace sealdl::bench {
 /// same table the CLIs resolve --scheme against.
 struct SchemeConfig {
   std::string name;
-  sim::EncryptionScheme scheme;  ///< info->family (the standalone benchmark reads it)
+  sim::EncryptionScheme scheme;  ///< info->family; only the standalone benchmark reads it
   const sim::SchemeInfo* info;   ///< registry entry, never null
 };
 
@@ -124,8 +124,7 @@ inline std::unique_ptr<telemetry::RunTelemetry> telemetry_from_flags(
     util::CliFlags& flags) {
   const std::string json = flags.get("json", "");
   const std::string trace = flags.get("trace", "");
-  const auto interval =
-      static_cast<sim::Cycle>(flags.get_int("sample-interval", 10000));
+  const sim::Cycle interval = flags.get_uint("sample-interval", 10000);
   if (json.empty() && trace.empty()) return nullptr;
   telemetry::TelemetryOptions options;
   options.sample_interval = interval;

@@ -26,10 +26,10 @@ namespace {
 
 int main_impl(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
-  const auto tiles = static_cast<std::uint64_t>(flags.get_int("tiles", 480));
+  const auto tiles = flags.get_uint("tiles", 480);
   const double ratio = flags.get_double("ratio", 0.5);
   const int input = static_cast<int>(flags.get_int("input", 224));
-  const auto chunk = static_cast<std::uint64_t>(flags.get_int("chunk", 0));
+  const auto chunk = flags.get_uint("chunk", 0);
   const bool fast_path = !flags.get_bool("no-fast-path", false);
   const std::string out = flags.get("out", "BENCH_parallel.json");
   bench::check_flags(flags);

@@ -102,12 +102,12 @@ Capacity find_capacity(const serve::ServiceModel& model,
 
 int main_impl(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
-  const auto tiles = static_cast<std::uint64_t>(flags.get_int("tiles", 240));
+  const auto tiles = flags.get_uint("tiles", 240);
   const double ratio = flags.get_double("ratio", 0.5);
   const double duration = flags.get_double("duration", 0.2);
   const int max_batch = static_cast<int>(flags.get_int("batch", 4));
   const auto queue_depth =
-      static_cast<std::size_t>(flags.get_int("queue-depth", 16));
+      static_cast<std::size_t>(flags.get_uint("queue-depth", 16));
   const std::string policy_name = flags.get("policy", "drop");
   const int jobs = bench::jobs_from_flags(flags);
   const double slo_ms = flags.get_double("slo", 250.0);

@@ -32,7 +32,7 @@ sim::SimStats run_gemm(const sim::GpuConfig& config, int dim,
 int main_impl(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   const int dim = static_cast<int>(flags.get_int("dim", 1024));
-  const auto tiles = static_cast<std::uint64_t>(flags.get_int("tiles", 960));
+  const auto tiles = flags.get_uint("tiles", 960);
   const bool sweep = flags.get_bool("sweep", false);
   bench::check_flags(flags);
 

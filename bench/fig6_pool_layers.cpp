@@ -11,7 +11,7 @@ namespace {
 
 int main_impl(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
-  const auto tiles = static_cast<std::uint64_t>(flags.get_int("tiles", 960));
+  const auto tiles = flags.get_uint("tiles", 960);
   const double ratio = flags.get_double("ratio", 0.5);
   const int jobs = bench::jobs_from_flags(flags);
   bench::check_flags(flags);
@@ -34,7 +34,9 @@ int main_impl(int argc, char** argv) {
     for (std::size_t i = 0; i < layers.size(); ++i) {
       const auto result =
           bench::run_body_layer(layers[i], scheme, tiles, ratio, nullptr, jobs);
-      if (scheme.scheme == sim::EncryptionScheme::kNone) baseline[i] = result.ipc();
+      if (scheme.info->family == sim::EncryptionScheme::kNone) {
+        baseline[i] = result.ipc();
+      }
       const double norm = result.ipc() / baseline[i];
       normalized.push_back(norm);
       row.push_back(util::Table::fmt(norm, 2));

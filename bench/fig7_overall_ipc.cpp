@@ -3,6 +3,9 @@
 //
 //   ./fig7_overall_ipc [--tiles 480] [--ratio 0.5] [--input 224] [--jobs N]
 #include <cstdio>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.hpp"
 #include "models/layer_spec.hpp"
@@ -12,7 +15,7 @@ namespace {
 
 int main_impl(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
-  const auto tiles = static_cast<std::uint64_t>(flags.get_int("tiles", 480));
+  const auto tiles = flags.get_uint("tiles", 480);
   const double ratio = flags.get_double("ratio", 0.5);
   const int input = static_cast<int>(flags.get_int("input", 224));
   const int jobs = bench::jobs_from_flags(flags);
@@ -32,7 +35,7 @@ int main_impl(int argc, char** argv) {
 
   util::Table table({"scheme", "VGG-16", "ResNet-18", "ResNet-34"});
   std::vector<double> baseline(nets.size(), 0.0);
-  std::vector<std::vector<double>> normalized(bench::all_schemes().size());
+  std::map<std::string, std::vector<double>> normalized;  ///< by CLI name
 
   const auto schemes = bench::all_schemes();
   for (std::size_t s = 0; s < schemes.size(); ++s) {
@@ -49,11 +52,11 @@ int main_impl(int argc, char** argv) {
           nets[n].second, bench::configure(schemes[s]), options);
       bench::tag_new_layers(collect.get(), first,
                             schemes[s].name + "/" + nets[n].first);
-      if (schemes[s].scheme == sim::EncryptionScheme::kNone) {
+      if (schemes[s].info->family == sim::EncryptionScheme::kNone) {
         baseline[n] = result.overall_ipc();
       }
       const double norm = result.overall_ipc() / baseline[n];
-      normalized[s].push_back(norm);
+      normalized[schemes[s].info->cli_name].push_back(norm);
       row.push_back(util::Table::fmt(norm, 2));
     }
     table.add_row(std::move(row));
@@ -61,10 +64,10 @@ int main_impl(int argc, char** argv) {
   table.print();
 
   // The headline ratios of the paper's abstract.
-  const double seal_d = util::mean(normalized[3]);
-  const double direct = util::mean(normalized[1]);
-  const double seal_c = util::mean(normalized[4]);
-  const double counter = util::mean(normalized[2]);
+  const double seal_d = util::mean(normalized.at("seal-d"));
+  const double direct = util::mean(normalized.at("direct"));
+  const double seal_c = util::mean(normalized.at("seal-c"));
+  const double counter = util::mean(normalized.at("counter"));
   std::printf("\nSEAL-D / Direct  = %.2fx (paper: 1.40x)\n", seal_d / direct);
   std::printf("SEAL-C / Counter = %.2fx (paper: 1.34x)\n", seal_c / counter);
 

@@ -2,6 +2,9 @@
 //
 //   ./fig8_latency [--tiles 480] [--ratio 0.5] [--input 224] [--jobs N]
 #include <cstdio>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.hpp"
 #include "models/layer_spec.hpp"
@@ -11,7 +14,7 @@ namespace {
 
 int main_impl(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
-  const auto tiles = static_cast<std::uint64_t>(flags.get_int("tiles", 480));
+  const auto tiles = flags.get_uint("tiles", 480);
   const double ratio = flags.get_double("ratio", 0.5);
   const int input = static_cast<int>(flags.get_int("input", 224));
   const int jobs = bench::jobs_from_flags(flags);
@@ -29,7 +32,7 @@ int main_impl(int argc, char** argv) {
 
   util::Table table({"scheme", "VGG-16", "ResNet-18", "ResNet-34", "ms @700MHz"});
   std::vector<double> baseline(nets.size(), 0.0);
-  std::vector<std::vector<double>> normalized(bench::all_schemes().size());
+  std::map<std::string, std::vector<double>> normalized;  ///< by CLI name
 
   const auto schemes = bench::all_schemes();
   for (std::size_t s = 0; s < schemes.size(); ++s) {
@@ -44,8 +47,10 @@ int main_impl(int argc, char** argv) {
       const auto result = workload::run_network(
           nets[n].second, bench::configure(schemes[s]), options);
       const double cycles = result.total_cycles();
-      if (schemes[s].scheme == sim::EncryptionScheme::kNone) baseline[n] = cycles;
-      normalized[s].push_back(cycles / baseline[n]);
+      if (schemes[s].info->family == sim::EncryptionScheme::kNone) {
+        baseline[n] = cycles;
+      }
+      normalized[schemes[s].info->cli_name].push_back(cycles / baseline[n]);
       row.push_back(util::Table::fmt(cycles / baseline[n], 2));
       total_ms += cycles / 700e6 * 1e3;
     }
@@ -54,10 +59,10 @@ int main_impl(int argc, char** argv) {
   }
   table.print();
 
-  const double direct = util::mean(normalized[1]);
-  const double counter = util::mean(normalized[2]);
-  const double seal_d = util::mean(normalized[3]);
-  const double seal_c = util::mean(normalized[4]);
+  const double direct = util::mean(normalized.at("direct"));
+  const double counter = util::mean(normalized.at("counter"));
+  const double seal_d = util::mean(normalized.at("seal-d"));
+  const double seal_c = util::mean(normalized.at("seal-c"));
   std::printf("\nDirect latency overhead vs Baseline:  +%.0f%% (paper: +39-60%%)\n",
               (direct - 1.0) * 100.0);
   std::printf("Counter latency overhead vs Baseline: +%.0f%% (paper: +39-60%%)\n",

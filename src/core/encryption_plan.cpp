@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "core/importance.hpp"
 
@@ -150,6 +151,10 @@ EncryptionPlan EncryptionPlan::from_row_counts(const std::vector<int>& rows,
 
 EncryptionPlan EncryptionPlan::for_specs(const std::vector<models::LayerSpec>& specs,
                                          const PlanOptions& options) {
+  if (!(options.encryption_ratio >= 0.0 && options.encryption_ratio <= 1.0)) {
+    throw std::invalid_argument("plan: encryption ratio (--ratio) must be in [0, 1], got " +
+                                std::to_string(options.encryption_ratio));
+  }
   std::vector<int> rows;
   std::vector<bool> is_conv;
   for (const auto& s : specs) {

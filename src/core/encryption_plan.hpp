@@ -74,7 +74,8 @@ class EncryptionPlan {
   /// Geometry-only plan for a LayerSpec chain: one plan layer per CONV/FC
   /// spec (POOLs excluded), rows = input channels / features. This is the
   /// single construction path shared by the network runner and the static
-  /// analyzer, so both always reason about the same plan.
+  /// analyzer, so both always reason about the same plan. Throws
+  /// std::invalid_argument for a ratio outside [0, 1].
   static EncryptionPlan for_specs(const std::vector<models::LayerSpec>& specs,
                                   const PlanOptions& options);
 

@@ -61,8 +61,8 @@ struct GpuConfig {
 
   // --- encryption ---
   /// The scheme the controllers run, as its registry entry
-  /// (sim/scheme_registry.hpp): cipher family, protection scope and timing
-  /// model in one. Never null. The JSON report serializes it by family name
+  /// (sim/scheme_registry.hpp): cipher family and protection scope, from
+  /// which the controllers derive their timing. Never null. The JSON report serializes it by family name
   /// and selectivity, never by pointer.
   const SchemeInfo* scheme = baseline_scheme();
   crypto::EngineSpec engine = crypto::default_engine();

@@ -9,13 +9,14 @@ namespace sealdl::sim {
 MemoryController::MemoryController(const GpuConfig& config,
                                    const SecureMap* secure_map)
     : config_(config),
-      model_(config.scheme->model),
+      family_(config.scheme->family),
+      counter_bytes_(static_cast<Addr>(config.scheme->counter_bytes_per_line(config))),
       protection_(*config.scheme, secure_map),
       dram_(config.dram_bytes_per_cycle_per_channel(),
-            static_cast<Cycle>(config.dram_latency)),
+            static_cast<Cycle>(config.dram_latency), "DRAM channel"),
       aes_(config.aes_bytes_per_cycle(),
-           static_cast<Cycle>(config.engine.latency_cycles)) {
-  if (model_->uses_counter_cache()) {
+           static_cast<Cycle>(config.engine.latency_cycles), "AES engine") {
+  if (family_ == EncryptionScheme::kCounter) {
     counter_cache_.emplace(static_cast<std::size_t>(config.counter_cache_kb) * 1024,
                            config.counter_cache_assoc, config.line_bytes);
   }
@@ -27,18 +28,8 @@ bool MemoryController::needs_encryption(Addr addr) const {
 
 Addr MemoryController::counter_line_addr(Addr data_addr) const {
   const Addr counter_index = data_addr / static_cast<Addr>(config_.line_bytes);
-  const Addr byte_addr =
-      kCounterRegionBase +
-      counter_index * static_cast<Addr>(model_->counter_bytes_per_line(config_));
+  const Addr byte_addr = kCounterRegionBase + counter_index * counter_bytes_;
   return byte_addr & ~static_cast<Addr>(config_.line_bytes - 1);
-}
-
-Cycle MemoryController::dram_schedule(Cycle now, std::uint64_t bytes) {
-  return dram_.schedule(now, bytes);
-}
-
-Cycle MemoryController::aes_schedule(Cycle now, std::uint64_t bytes) {
-  return aes_.schedule(now, bytes);
 }
 
 Cycle MemoryController::fetch_counter(Cycle now, Addr addr, bool for_write) {
@@ -77,7 +68,22 @@ Cycle MemoryController::read_line(Cycle now, Addr addr) {
   }
 
   encrypted_bytes_ += bytes;
-  return model_->read_secure(*this, now, addr, bytes);
+  switch (family_) {
+    case EncryptionScheme::kNone:
+      break;  // protects nothing, so never reached; plain service below
+    case EncryptionScheme::kDirect:
+      // Data must arrive before the (de)cipher can start.
+      return aes_.schedule(dram_.schedule(now, bytes), bytes);
+    case EncryptionScheme::kCounter: {
+      // The pad starts once the counter is known and overlaps the data
+      // fetch; the final XOR costs one cycle.
+      const Cycle data_done = dram_.schedule(now, bytes);
+      const Cycle counter_done = fetch_counter(now, addr, /*for_write=*/false);
+      const Cycle pad_done = aes_.schedule(counter_done, bytes);
+      return std::max(data_done, pad_done) + 1;
+    }
+  }
+  return dram_.schedule(now, bytes);
 }
 
 Cycle MemoryController::write_line(Cycle now, Addr addr) {
@@ -92,7 +98,20 @@ Cycle MemoryController::write_line(Cycle now, Addr addr) {
   }
 
   encrypted_bytes_ += bytes;
-  return model_->write_secure(*this, now, addr, bytes);
+  switch (family_) {
+    case EncryptionScheme::kNone:
+      break;  // protects nothing, so never reached; plain service below
+    case EncryptionScheme::kDirect:
+      return dram_.schedule(aes_.schedule(now, bytes), bytes);
+    case EncryptionScheme::kCounter: {
+      // Writes bump the per-line counter, so the counter fetch dirties its
+      // counter-cache line; the encrypted payload drains after the pad XOR.
+      const Cycle counter_done = fetch_counter(now, addr, /*for_write=*/true);
+      const Cycle pad_done = aes_.schedule(counter_done, bytes);
+      return dram_.schedule(pad_done + 1, bytes);
+    }
+  }
+  return dram_.schedule(now, bytes);
 }
 
 void MemoryController::accumulate(SimStats& stats) const {

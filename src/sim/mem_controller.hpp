@@ -7,12 +7,11 @@
 // bandwidth but nobody waits for them.
 //
 // The *shape* of the secure dataflow — how a protected line's DRAM service,
-// AES work, and metadata fetch serialize — is not hard-wired here: it lives
-// in the SchemeModel resolved from the config (sim/scheme_registry.hpp), and
-// the controller implements SchemeModel::Host to lend the model its pipes
-// and counter cache. For the paper's schemes that means:
+// AES work, and metadata fetch serialize — follows the cipher family of the
+// config's registry entry (sim/scheme_registry.hpp):
 //   Direct  read : DRAM -> AES decrypt (serial)      write: AES -> DRAM
-//   Counter read : DRAM || (counter fetch -> AES pad), XOR   write: same pads
+//   Counter read : DRAM || (counter fetch -> AES pad), XOR
+//           write: counter fetch -> AES pad, XOR -> DRAM
 // On a counter-cache hit the pad generation overlaps the data fetch, so
 // counter mode hides AES latency but still pays AES occupancy (bandwidth) and
 // extra DRAM traffic for counter-block fills/writebacks — the reason the paper
@@ -27,7 +26,6 @@
 #include "sim/gpu_config.hpp"
 #include "sim/pipes.hpp"
 #include "sim/request.hpp"
-#include "sim/scheme_model.hpp"
 #include "sim/scheme_registry.hpp"
 #include "sim/secure_map.hpp"
 #include "sim/sim_stats.hpp"
@@ -42,7 +40,7 @@ class BusProbe;
 /// by address alone.
 inline constexpr Addr kCounterRegionBase = 0x4000'0000'0000ULL;
 
-class MemoryController : private SchemeModel::Host {
+class MemoryController {
  public:
   MemoryController(const GpuConfig& config, const SecureMap* secure_map);
 
@@ -72,9 +70,6 @@ class MemoryController : private SchemeModel::Host {
   Cycle flush(Cycle now);
 
   void set_probe(BusProbe* probe) { probe_ = probe; }
-
-  /// The scheme model of the config's registry entry.
-  [[nodiscard]] const SchemeModel& scheme_model() const { return *model_; }
 
   // Per-controller telemetry accessors (pull-based; nothing extra is tracked).
   [[nodiscard]] std::uint64_t read_bytes() const { return read_bytes_; }
@@ -123,18 +118,16 @@ class MemoryController : private SchemeModel::Host {
   [[nodiscard]] Cycle counter_busy_until() const { return counter_busy_until_; }
 
  private:
-  // SchemeModel::Host — the services a scheme model schedules against.
-  Cycle dram_schedule(Cycle now, std::uint64_t bytes) override;
-  Cycle aes_schedule(Cycle now, std::uint64_t bytes) override;
   /// Books the counter-fetch portion of a counter-family access; returns the
   /// cycle the counter value is available. May inject counter-line DRAM
   /// traffic (fill and/or dirty writeback).
-  Cycle fetch_counter(Cycle now, Addr addr, bool for_write) override;
+  Cycle fetch_counter(Cycle now, Addr addr, bool for_write);
 
   [[nodiscard]] Addr counter_line_addr(Addr data_addr) const;
 
   GpuConfig config_;  ///< by value: controllers outlive caller-built configs
-  const SchemeModel* model_;  ///< the entry's model, never null
+  EncryptionScheme family_;  ///< the entry's cipher family: the secure timing
+  Addr counter_bytes_;       ///< counter storage per data line (0 = none)
   LineProtection protection_;  ///< resolved once; the per-line secure test
   ThroughputPipe dram_;
   ThroughputPipe aes_;

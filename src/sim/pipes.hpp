@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/request.hpp"
@@ -84,9 +86,16 @@ class DelayQueue {
 /// are reported as integer cycles (ceil).
 class ThroughputPipe {
  public:
-  ThroughputPipe(double bytes_per_cycle, Cycle latency)
+  /// Throws std::invalid_argument naming the pipe (`what`) unless
+  /// `bytes_per_cycle` is positive and finite: a zero-bandwidth pipe would
+  /// book infinite occupancy.
+  ThroughputPipe(double bytes_per_cycle, Cycle latency, const char* what = "pipe")
       : bytes_per_cycle_(bytes_per_cycle), latency_(latency) {
-    assert(bytes_per_cycle > 0.0);
+    if (!(bytes_per_cycle > 0.0) || !std::isfinite(bytes_per_cycle)) {
+      throw std::invalid_argument(std::string(what) +
+                                  " bandwidth must be positive and finite, got " +
+                                  std::to_string(bytes_per_cycle) + " B/cycle");
+    }
   }
 
   /// Books `bytes` of occupancy starting no earlier than `earliest`; returns

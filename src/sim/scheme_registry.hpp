@@ -1,40 +1,63 @@
 // The single source of truth for every secure-memory scheme the toolchain
-// knows: CLI spelling, display name, EncryptionScheme family, protection
-// scope, and the SchemeModel singleton that times it.
+// knows: CLI spelling, display name, cipher family and protection scope.
 //
-// An entry is the whole scheme identity: `GpuConfig::scheme` points at one,
-// and the controllers, the network runner, the functional memory and the
-// report all read family, scope and model from it. `sealdl-sim`,
-// `sealdl-serve`, `sealdl-check`, and the benches resolve schemes by name
-// through this table, so adding a scheme is one row here (plus its model) and
-// cannot desync `--scheme` parsing, report provenance, and the conformance
-// analyzer — scheme.registry plus the rule-catalog drift gates fail the build
-// on a missing or inconsistent entry.
+// A scheme is a point on two axes: the cipher family (none, direct, counter)
+// and what it protects (nothing, everything, the SE plan's rows, the
+// weights). Everything else — the controller's read/write timing, whether a
+// counter cache exists, which wire image the analyzer demands, whether AES
+// occupancy is paid — is derived from that pair, so an entry cannot declare
+// two things that disagree. `GpuConfig::scheme` points at one entry, and the
+// controllers, the network runner, the functional memory and the report all
+// read it. `sealdl-sim`, `sealdl-serve`, `sealdl-check`, and the benches
+// resolve schemes by name through this table, so adding a scheme is one row
+// here; scheme.registry plus the rule-catalog drift gates fail the build on
+// a duplicate or inconsistent entry.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string_view>
 
 #include "sim/gpu_config.hpp"
-#include "sim/scheme_model.hpp"
 #include "sim/secure_map.hpp"
 
 namespace sealdl::sim {
+
+/// Which addresses a scheme protects (drives secure-map construction, the
+/// analyzer's wire policy and the scheme.boundary clause).
+enum class ProtectionScope : std::uint8_t {
+  kNone,      ///< nothing protected (Baseline)
+  kAll,       ///< every data address (full-encryption schemes)
+  kPlanRows,  ///< the encryption plan's protected rows/channels (SEAL)
+  kWeights,   ///< every weight byte, no activations (GuardNN-style)
+};
+
+[[nodiscard]] const char* protection_scope_name(ProtectionScope scope);
 
 /// One registered scheme. `cli_name` is the canonical `--scheme` spelling;
 /// `display` is the human/provenance name (reports, bench tables).
 struct SchemeInfo {
   const char* cli_name;
   const char* display;
-  EncryptionScheme family;  ///< cipher family (line transform)
+  EncryptionScheme family;  ///< cipher family: line transform and timing
   ProtectionScope scope;    ///< what the scheme protects
-  const SchemeModel* model; ///< registry-owned singleton, never null
-  bool paper;               ///< one of the paper's five schemes (fig benches)
+  /// Counters packed one byte per data line whatever the configured width
+  /// (Seculator's compact layout); only meaningful for the counter family.
+  bool compact_counters;
+  bool paper;  ///< one of the paper's five schemes (fig benches)
 
   /// Whether the scheme needs a SecureMap (any scope narrower than "all").
   [[nodiscard]] bool selective() const {
     return scope == ProtectionScope::kPlanRows ||
            scope == ProtectionScope::kWeights;
+  }
+
+  /// Bytes of counter storage per data line (the counter-region address
+  /// layout): 0 without counters, 1 for a compact layout, else the
+  /// configured organization.
+  [[nodiscard]] int counter_bytes_per_line(const GpuConfig& config) const {
+    if (family != EncryptionScheme::kCounter) return 0;
+    return compact_counters ? 1 : config.effective_counter_bytes();
   }
 };
 

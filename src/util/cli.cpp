@@ -68,6 +68,17 @@ std::int64_t CliFlags::get_int(const std::string& name,
                      [](const std::string& t, std::size_t* n) { return std::stoll(t, n); });
 }
 
+std::uint64_t CliFlags::get_uint(const std::string& name,
+                                std::uint64_t fallback) const {
+  if (!has(name)) return fallback;
+  const std::int64_t value = get_int(name, 0);
+  if (value < 0) {
+    throw std::invalid_argument("--" + name + ": expected a non-negative integer, got '" +
+                                flags_.at(name) + "'");
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
 double CliFlags::get_double(const std::string& name, double fallback) const {
   queried_[name] = true;
   const auto it = flags_.find(name);

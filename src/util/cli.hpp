@@ -24,6 +24,10 @@ class CliFlags {
   /// the value does not parse in full ("--jobs x", "--tiles 40abc").
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t fallback) const;
+  /// Like get_int() for counts and sizes: a negative value is rejected
+  /// ("--tiles -1") instead of wrapping to 2^64.
+  [[nodiscard]] std::uint64_t get_uint(const std::string& name,
+                                       std::uint64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& name, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 

@@ -43,7 +43,7 @@ enum class Injection {
   kSchemeBoundary,  ///< record plaintext bytes inside a protected weight row
   kSchemeMetadata,  ///< perturb the controllers' counter-traffic accounting
   kSchemeCoverage,  ///< claim one encrypted byte the controllers never saw
-  kSchemeTiming,    ///< falsify the contract's declared serialization shape
+  kSchemeTiming,    ///< claim the other family's serialization shape
   kSchemeRegistry,  ///< duplicate a CLI name in a copy of the registry table
   kSchemeOracle,    ///< forge a capture whose encrypted flag lies about the wire
   // sealdl-sim: staged on a copy of the run's cycle profile.

@@ -42,24 +42,11 @@ std::uint64_t all_bytes(const TaintCounts& counts) {
   return sum;
 }
 
-/// The contract's wire policy for one data line. nullopt = the contract does
-/// not constrain this line (e.g. an untagged address).
-std::optional<WirePolicy> wire_policy(const sim::SchemeContract& contract,
-                                      const AnalysisInput& input,
-                                      const core::Region& region,
-                                      sim::Addr line_addr) {
-  switch (contract.wire) {
-    case sim::WireVisibility::kFullPlain:
-      return WirePolicy::kMustPlain;
-    case sim::WireVisibility::kFullCipher:
-      return WirePolicy::kMustCipher;
-    case sim::WireVisibility::kPlanBoundary:
-      return plan_line_policy(input, region, line_addr);
-    case sim::WireVisibility::kWeightsCipher:
-      return region.kind == core::Region::Kind::kWeights ? WirePolicy::kMustCipher
-                                                   : WirePolicy::kMustPlain;
-  }
-  return std::nullopt;
+/// The wire policy for one data line under `entry`'s scope.
+WirePolicy wire_policy(const sim::SchemeInfo& entry, const AnalysisInput& input,
+                       const core::Region& region, sim::Addr line_addr) {
+  if (const auto fixed = scheme_wire_policy(entry, region.kind)) return *fixed;
+  return plan_line_policy(input, region, line_addr);
 }
 
 void add_error(Report& report, const char* rule, const std::string& layer,
@@ -201,6 +188,22 @@ std::vector<std::string> scheme_rules() {
           "scheme.oracle"};
 }
 
+std::optional<WirePolicy> scheme_wire_policy(const sim::SchemeInfo& entry,
+                                             core::Region::Kind kind) {
+  switch (entry.scope) {
+    case sim::ProtectionScope::kNone:
+      return WirePolicy::kMustPlain;
+    case sim::ProtectionScope::kAll:
+      return WirePolicy::kMustCipher;
+    case sim::ProtectionScope::kPlanRows:
+      return std::nullopt;
+    case sim::ProtectionScope::kWeights:
+      return kind == core::Region::Kind::kWeights ? WirePolicy::kMustCipher
+                                                  : WirePolicy::kMustPlain;
+  }
+  return std::nullopt;
+}
+
 WirePolicy plan_line_policy(const AnalysisInput& input, const core::Region& region,
                             sim::Addr line_addr) {
   if (!input.plan) return WirePolicy::kMustPlain;
@@ -248,56 +251,12 @@ void check_scheme_registry(std::span<const sim::SchemeInfo> entries,
                 "duplicate display name '" + std::string(info.display) +
                     "' in the scheme registry");
     }
-    if (info.model == nullptr) {
-      add_error(report, "scheme.registry", name, 0, 0,
-                "registry entry '" + name + "' has no scheme model");
-      continue;
-    }
-    const sim::SchemeContract& contract = info.model->contract();
-    if (contract.scope != info.scope) {
-      add_error(report, "scheme.registry", name, 0, 0,
-                "entry '" + name + "' scope (" +
-                    sim::protection_scope_name(info.scope) +
-                    ") disagrees with its contract (" +
-                    sim::protection_scope_name(contract.scope) + ")");
-    }
     if ((info.family == sim::EncryptionScheme::kNone) !=
         (info.scope == sim::ProtectionScope::kNone)) {
       add_error(report, "scheme.registry", name, 0, 0,
                 "entry '" + name +
                     "' protects nothing iff its family is kNone — family and "
                     "scope disagree");
-    }
-    const bool has_counters = info.model->uses_counter_cache();
-    if (has_counters !=
-        (contract.metadata == sim::MetadataModel::kCounterLines)) {
-      add_error(report, "scheme.registry", name, 0, 0,
-                "entry '" + name +
-                    "' declares counter-line metadata iff it uses a counter "
-                    "cache — model and contract disagree");
-    }
-    const sim::GpuConfig config = sim::GpuConfig::gtx480();
-    const int counter_bytes = info.model->counter_bytes_per_line(config);
-    if (has_counters ? counter_bytes <= 0 : counter_bytes != 0) {
-      add_error(report, "scheme.registry", name, 0, 0,
-                "entry '" + name + "' counter layout (" +
-                    std::to_string(counter_bytes) +
-                    " bytes/line) is inconsistent with its counter-cache "
-                    "use");
-    }
-    if (contract.pays_aes_occupancy ==
-        (info.family == sim::EncryptionScheme::kNone)) {
-      add_error(report, "scheme.registry", name, 0, 0,
-                "entry '" + name +
-                    "' pays AES occupancy iff it encrypts — contract and "
-                    "family disagree");
-    }
-    if ((contract.read_shape == sim::SerializationShape::kPadOverlapsData) !=
-        has_counters) {
-      add_error(report, "scheme.registry", name, 0, 0,
-                "entry '" + name +
-                    "' declares pad-overlap serialization iff it has "
-                    "counters to overlap with");
     }
     // Name round-trip through the shared parser: both spellings must resolve
     // back to an entry carrying this CLI name (drift check for the
@@ -315,7 +274,7 @@ void check_scheme_registry(std::span<const sim::SchemeInfo> entries,
 }
 
 void check_scheme_timing(const sim::SchemeInfo& entry,
-                         const sim::SchemeContract& claimed, Report& report) {
+                         sim::EncryptionScheme claimed_family, Report& report) {
   const std::string name = entry.cli_name;
   constexpr sim::Addr kAddr = 0x1000'0000;
   // Quiet-time reference: a late enough issue cycle that every pipe is idle
@@ -331,39 +290,39 @@ void check_scheme_timing(const sim::SchemeInfo& entry,
   // the counter is now cached, so this is the steady-state (hit) latency.
   const sim::Cycle warm = probe.read_latency(kQuiet, kAddr);
 
-  switch (claimed.read_shape) {
-    case sim::SerializationShape::kPassthrough:
+  switch (claimed_family) {
+    case sim::EncryptionScheme::kNone:
       if (cold != plain || warm != plain) {
         add_error(report, "scheme.timing", name, 0, 0,
-                  "contract claims passthrough reads but a secure read took " +
+                  "claimed passthrough reads but a secure read took " +
                       std::to_string(cold) + "/" + std::to_string(warm) +
                       " cycles vs " + std::to_string(plain) + " plain");
       }
       break;
-    case sim::SerializationShape::kAesAfterData:
+    case sim::EncryptionScheme::kDirect:
       // Serialized crypto can never match the plain latency — cold or warm.
       if (cold <= plain || warm <= plain) {
         add_error(report, "scheme.timing", name, 0, 0,
-                  "contract claims AES-after-data serialization but a secure "
+                  "claimed AES-after-data serialization but a secure "
                   "read took " +
                       std::to_string(cold) + "/" + std::to_string(warm) +
                       " cycles vs " + std::to_string(plain) +
                       " plain — the cipher is not on the critical path");
       }
       break;
-    case sim::SerializationShape::kPadOverlapsData:
+    case sim::EncryptionScheme::kCounter:
       // On a counter hit the pad hides behind the data fetch entirely; only
       // the final XOR remains visible. A cold miss must cost more than that.
       if (warm != plain + 1) {
         add_error(report, "scheme.timing", name, 0, 0,
-                  "contract claims pad generation overlaps the data fetch on "
+                  "claimed pad generation overlaps the data fetch on "
                   "a counter hit, but a warm read took " +
                       std::to_string(warm) + " cycles vs " +
                       std::to_string(plain) + " plain (+1 XOR expected)");
       }
       if (cold <= warm) {
         add_error(report, "scheme.timing", name, 0, 0,
-                  "contract claims the pad overlap is hidden only on a "
+                  "claimed the pad overlap is hidden only on a "
                   "counter hit, but a cold (miss) read took " +
                       std::to_string(cold) + " cycles vs " +
                       std::to_string(warm) + " warm");
@@ -375,7 +334,6 @@ void check_scheme_timing(const sim::SchemeInfo& entry,
 void check_scheme_wire(const sim::SchemeInfo& entry,
                        const SchemeRunEvidence& evidence, Report& report) {
   const AnalysisInput& input = *evidence.input;
-  const sim::SchemeContract& contract = entry.model->contract();
   std::uint64_t untagged = 0;
   for (const auto& [addr, counts] : evidence.ledger->lines()) {
     if (addr >= sim::kCounterRegionBase) continue;
@@ -384,21 +342,20 @@ void check_scheme_wire(const sim::SchemeInfo& entry,
       untagged += all_bytes(counts);
       continue;
     }
-    const auto policy = wire_policy(contract, input, *region, addr);
-    if (!policy) continue;
+    const WirePolicy policy = wire_policy(entry, input, *region, addr);
     const std::uint64_t plain = plain_bytes(counts);
     const std::uint64_t cipher = cipher_bytes(counts);
-    if (*policy == WirePolicy::kMustCipher && plain > 0) {
+    if (policy == WirePolicy::kMustCipher && plain > 0) {
       add_error(report, "scheme.wire", region->name, addr, addr + kLine,
                 std::to_string(plain) + " plaintext byte(s) of " +
                     region->name + " on the bus, but " + entry.cli_name +
-                    "'s contract requires ciphertext here");
+                    "'s scope requires ciphertext here");
     }
-    if (*policy == WirePolicy::kMustPlain && cipher > 0) {
+    if (policy == WirePolicy::kMustPlain && cipher > 0) {
       add_error(report, "scheme.wire", region->name, addr, addr + kLine,
                 std::to_string(cipher) + " ciphertext byte(s) of " +
                     region->name + " on the bus, but " + entry.cli_name +
-                    "'s contract leaves this address unprotected");
+                    "'s scope leaves this address unprotected");
     }
   }
   if (untagged > 0) {
@@ -416,7 +373,7 @@ void check_scheme_wire(const sim::SchemeInfo& entry,
 void check_scheme_boundary(const sim::SchemeInfo& entry,
                            const SchemeRunEvidence& evidence, Report& report) {
   const AnalysisInput& input = *evidence.input;
-  const sim::ProtectionScope scope = entry.model->contract().scope;
+  const sim::ProtectionScope scope = entry.scope;
   const std::span<const TaintCell> cells = evidence.ledger->cells();
   for (const core::Region& region : input.layout->directory()) {
     if (region.kind != core::Region::Kind::kWeights || region.units <= 0) continue;
@@ -481,7 +438,7 @@ void check_scheme_metadata(const sim::SchemeInfo& entry,
   const std::string name = entry.cli_name;
   const std::uint64_t ledger_meta =
       evidence.ledger->class_bytes(TaintClass::kCounterMeta);
-  if (entry.model->contract().metadata == sim::MetadataModel::kNone) {
+  if (entry.family != sim::EncryptionScheme::kCounter) {
     if (stats.counter_traffic_bytes != 0 || stats.counter_hits != 0 ||
         stats.counter_misses != 0 || ledger_meta != 0) {
       add_error(report, "scheme.metadata", name, 0, 0,
@@ -527,10 +484,9 @@ void check_scheme_metadata(const sim::SchemeInfo& entry,
 void check_scheme_coverage(const sim::SchemeInfo& entry,
                            const SchemeRunEvidence& evidence, Report& report) {
   const sim::SimStats& stats = evidence.stats;
-  const sim::SchemeContract& contract = entry.model->contract();
   const std::string name = entry.cli_name;
   const std::uint64_t data = stats.dram_read_bytes + stats.dram_write_bytes;
-  switch (contract.scope) {
+  switch (entry.scope) {
     case sim::ProtectionScope::kNone:
       if (stats.encrypted_bytes != 0 || stats.bypassed_bytes != 0) {
         add_error(report, "scheme.coverage", name, 0, 0,
@@ -559,17 +515,17 @@ void check_scheme_coverage(const sim::SchemeInfo& entry,
       }
       break;
   }
-  if (contract.pays_aes_occupancy) {
+  if (entry.family != sim::EncryptionScheme::kNone) {
     if (stats.encrypted_bytes > 0 && stats.aes_busy_cycles <= 0.0) {
       add_error(report, "scheme.coverage", name, 0, 0,
                 std::to_string(stats.encrypted_bytes) +
-                    " encrypted byte(s) booked zero AES occupancy — the "
-                    "contract says every encrypted byte pays");
+                    " encrypted byte(s) booked zero AES occupancy — every "
+                    "encrypted byte must pay");
     }
   } else if (stats.aes_busy_cycles != 0.0) {
     add_error(report, "scheme.coverage", name, 0, 0,
               "AES occupancy (" + std::to_string(stats.aes_busy_cycles) +
-                  " engine-cycles) under a scheme declaring none");
+                  " engine-cycles) under a scheme that encrypts nothing");
   }
 }
 
@@ -577,7 +533,7 @@ Report run_scheme_conformance(const sim::SchemeInfo& entry,
                               const SchemeRunEvidence& evidence) {
   Report report;
   check_scheme_registry(sim::scheme_registry(), report);
-  check_scheme_timing(entry, entry.model->contract(), report);
+  check_scheme_timing(entry, entry.family, report);
   check_scheme_wire(entry, evidence, report);
   check_scheme_boundary(entry, evidence, report);
   check_scheme_metadata(entry, evidence, report);
@@ -597,13 +553,12 @@ Report run_scheme_injection(Injection injection,
   const AnalysisInput& input = *evidence.input;
   switch (injection) {
     case Injection::kSchemeWire: {
-      // Record plaintext bytes on the first line the contract requires to be
+      // Record plaintext bytes on the first line the scope requires to be
       // ciphertext; only copies are touched, never the run's real ledger.
       TaintLedger corrupted = *evidence.ledger;
-      const sim::SchemeContract& contract = entry.model->contract();
       for (const core::Region& region : input.layout->directory()) {
-        const auto policy = wire_policy(contract, input, region, region.begin);
-        if (policy == WirePolicy::kMustCipher) {
+        if (wire_policy(entry, input, region, region.begin) ==
+            WirePolicy::kMustCipher) {
           corrupted.record(region.begin, static_cast<std::uint32_t>(kLine),
                            /*is_write=*/false,
                            region.kind == core::Region::Kind::kWeights
@@ -621,7 +576,7 @@ Report run_scheme_injection(Injection injection,
     case Injection::kSchemeBoundary: {
       // Plaintext inside a protected weight row: find one under the scope.
       TaintLedger corrupted = *evidence.ledger;
-      const sim::ProtectionScope scope = entry.model->contract().scope;
+      const sim::ProtectionScope scope = entry.scope;
       for (const core::Region& region : input.layout->directory()) {
         if (region.kind != core::Region::Kind::kWeights || region.units <= 0) continue;
         int row = -1;
@@ -669,14 +624,13 @@ Report run_scheme_injection(Injection injection,
       return report;
     }
     case Injection::kSchemeTiming: {
-      // Falsify the declared serialization shape: claim passthrough for a
-      // crypto scheme, claim serialized AES for baseline.
-      sim::SchemeContract falsified = entry.model->contract();
-      falsified.read_shape =
-          falsified.read_shape == sim::SerializationShape::kPassthrough
-              ? sim::SerializationShape::kAesAfterData
-              : sim::SerializationShape::kPassthrough;
-      check_scheme_timing(entry, falsified, report);
+      // Claim the other family's serialization: passthrough for a crypto
+      // scheme, serialized AES for baseline.
+      check_scheme_timing(entry,
+                          entry.family == sim::EncryptionScheme::kNone
+                              ? sim::EncryptionScheme::kDirect
+                              : sim::EncryptionScheme::kNone,
+                          report);
       return report;
     }
     case Injection::kSchemeRegistry: {

@@ -1,37 +1,36 @@
 // The scheme.* rule family: conformance of any registered secure-memory
-// scheme against its own declared SchemeContract (sim/scheme_model.hpp).
+// scheme against what its registry entry (sim/scheme_registry.hpp) implies.
 //
-// The family is generic: every clause is read off the contract of a registry
-// entry and proved against the evidence of a real run — the taint ledger a
-// TaintAuditor recorded, the controllers' SimStats accounting, a timing
-// micro-probe through a real MemoryController, and a known-plaintext
-// transcript through real AES. A scheme added to the registry is covered
-// with no checker changes, and a scheme whose contract lies about its
-// dataflow is caught.
+// The family is generic: an entry is its cipher family and protection scope,
+// and every clause is derived from that pair and proved against the
+// evidence of a real run — the taint ledger a TaintAuditor recorded, the
+// controllers' SimStats accounting, a timing micro-probe through a real
+// MemoryController, and a known-plaintext transcript through real AES. A
+// scheme added to the registry is covered with no checker changes.
 //
 //   scheme.registry  static table consistency: unique CLI/display names,
-//                    entry scope <-> contract scope <-> family agreement,
-//                    counter metadata declared iff a counter cache is used.
-//   scheme.wire      ledger bytes respect the contract's WireVisibility
-//                    (plan-boundary schemes follow plan_line_policy;
-//                    weights-cipher schemes split by region kind; full
-//                    schemes admit no wrong-side bytes at all); bytes
-//                    outside every known region draw a warning.
+//                    both spellings resolve back to their entry, and the
+//                    family is kNone iff the scope is kNone.
+//   scheme.wire      ledger bytes respect the scope's wire policy
+//                    (plan-row scopes follow plan_line_policy; a weights
+//                    scope splits by region kind; kAll and kNone admit no
+//                    wrong-side bytes at all); bytes outside every known
+//                    region draw a warning.
 //   scheme.boundary  row-level protection boundary over weight regions:
 //                    the observed plaintext/ciphertext row sets match the
 //                    scope (plan rows / all / none / every weight row).
-//   scheme.metadata  metadata-traffic reconciliation: counter_traffic ==
-//                    fills + writebacks + flushes, fills == misses x line,
-//                    ledger counter-region bytes == controller accounting —
-//                    and all of it zero for schemes declaring kNone.
+//   scheme.metadata  metadata-traffic reconciliation for the counter
+//                    family: counter_traffic == fills + writebacks + flushes,
+//                    fills == misses x line, ledger counter-region bytes ==
+//                    controller accounting — and all of it zero otherwise.
 //   scheme.coverage  SimStats identities: encrypted + bypassed bytes
 //                    partition the secure-capable traffic per scope, and AES
-//                    occupancy is paid iff the contract says so.
+//                    occupancy is paid iff the family encrypts.
 //   scheme.timing    serialization-shape micro-probe: a fresh controller per
 //                    entry measures a secure line read against the plain
-//                    baseline (passthrough = equal; AES-after-data strictly
-//                    slower; pad-overlap hides AES behind DRAM on a counter
-//                    hit, +1 XOR cycle).
+//                    baseline (kNone = equal; kDirect strictly slower;
+//                    kCounter hides AES behind DRAM on a counter hit, +1 XOR
+//                    cycle).
 //   scheme.oracle    known-plaintext cross-check: a pseudorandom plaintext
 //                    image written and read back through sim::FunctionalMemory
 //                    (real AES) under the entry's scheme; an
@@ -46,6 +45,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -64,6 +64,12 @@ namespace sealdl::verify {
 
 /// What a scheme requires of a line's wire image.
 enum class WirePolicy : std::uint8_t { kMustCipher, kMustPlain };
+
+/// The wire policy `entry`'s scope fixes for every line of a region kind:
+/// kNone plaintext, kAll ciphertext, kWeights ciphertext on weights only.
+/// nullopt for plan-row scopes, whose lines follow plan_line_policy().
+[[nodiscard]] std::optional<WirePolicy> scheme_wire_policy(
+    const sim::SchemeInfo& entry, core::Region::Kind kind);
 
 /// Plan-derived wire policy of one line under SEAL selective encryption:
 /// weight rows follow the plan's protected set, fmap channels the consumer
@@ -92,10 +98,11 @@ void check_scheme_registry(std::span<const sim::SchemeInfo> entries,
                            Report& report);
 
 /// Micro-probes `entry`'s secure read path through a fresh MemoryController
-/// and holds the measured serialization against `claimed.read_shape`
-/// (normally the entry's own contract; injections pass a falsified one).
+/// and holds the measured serialization against the shape of
+/// `claimed_family` (normally the entry's own family; the scheme-timing
+/// injection passes the other one).
 void check_scheme_timing(const sim::SchemeInfo& entry,
-                         const sim::SchemeContract& claimed, Report& report);
+                         sim::EncryptionScheme claimed_family, Report& report);
 
 /// Writes a known plaintext image through a FunctionalMemory configured for
 /// `entry` over `input`'s secure map — the first and last line of every

@@ -1,5 +1,8 @@
 #include "workload/gemm_trace.hpp"
 
+#include <stdexcept>
+#include <string>
+
 namespace sealdl::workload {
 
 namespace {
@@ -87,6 +90,11 @@ class GemmWarpProgram final : public BufferedWarpProgram {
 std::vector<sim::WarpProgramPtr> make_gemm_programs(const GemmSpec& spec,
                                                     int num_warps,
                                                     std::uint64_t max_tiles) {
+  if (spec.m <= 0 || spec.n <= 0 || spec.k <= 0) {
+    throw std::invalid_argument("gemm: dimensions (--dim) must be positive, got " +
+                                std::to_string(spec.m) + "x" + std::to_string(spec.n) +
+                                "x" + std::to_string(spec.k));
+  }
   const std::uint64_t limit =
       max_tiles ? std::min(max_tiles, spec.total_tiles()) : spec.total_tiles();
   std::vector<sim::WarpProgramPtr> programs;

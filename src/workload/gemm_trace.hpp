@@ -36,7 +36,8 @@ struct GemmSpec {
 };
 
 /// Builds `num_warps` persistent-warp programs covering at most `max_tiles`
-/// output tiles (0 = all); tiles are dealt round-robin.
+/// output tiles (0 = all); tiles are dealt round-robin. Throws
+/// std::invalid_argument unless every dimension is positive.
 std::vector<sim::WarpProgramPtr> make_gemm_programs(const GemmSpec& spec,
                                                     int num_warps,
                                                     std::uint64_t max_tiles = 0);

@@ -1,6 +1,6 @@
-// Scheme registry, SchemeModel contracts, and the scheme.* conformance
-// analyzer (src/verify/scheme_checkers.*), plus the counter-cache edge cases
-// the pluggable metadata path leans on.
+// Scheme registry, the clauses derived from each entry, and the scheme.*
+// conformance analyzer (src/verify/scheme_checkers.*), plus the counter-cache
+// edge cases the counter-family metadata path leans on.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -115,12 +115,82 @@ TEST(SchemeRegistry, RuleListMatchesFamilyCount) {
   }
 }
 
-// ------------------------------------------------------- timing contracts ---
+// ------------------------------------------------------ derived clauses ---
 
-TEST(SchemeTiming, EveryContractMatchesMeasuredShape) {
+// Which side of the bus a line must cross on; kPlan = the SE plan decides.
+enum class WireSide { kPlain, kCipher, kPlan };
+enum class ReadShape { kPassthrough, kAesAfterData, kPadOverlap };
+
+struct DerivedClauses {
+  WireSide weight_line;
+  WireSide fmap_line;
+  bool metadata;
+  ReadShape read_shape;
+  bool aes_occupancy;
+  int counter_bytes;
+
+  bool operator==(const DerivedClauses&) const = default;
+};
+
+WireSide wire_side(const sim::SchemeInfo& info, core::Region::Kind kind) {
+  const auto policy = verify::scheme_wire_policy(info, kind);
+  if (!policy) return WireSide::kPlan;
+  return *policy == verify::WirePolicy::kMustCipher ? WireSide::kCipher
+                                                     : WireSide::kPlain;
+}
+
+ReadShape read_shape(sim::EncryptionScheme family) {
+  switch (family) {
+    case sim::EncryptionScheme::kNone:
+      return ReadShape::kPassthrough;
+    case sim::EncryptionScheme::kDirect:
+      return ReadShape::kAesAfterData;
+    case sim::EncryptionScheme::kCounter:
+      return ReadShape::kPadOverlap;
+  }
+  return ReadShape::kPassthrough;
+}
+
+DerivedClauses derived_clauses(const sim::SchemeInfo& info) {
+  sim::GpuConfig config = sim::GpuConfig::gtx480();
+  config.scheme = &info;
+  const sim::MemoryController controller(config, nullptr);
+  return {wire_side(info, core::Region::Kind::kWeights),
+          wire_side(info, core::Region::Kind::kFmap),
+          controller.counter_hit_rate() != nullptr,
+          read_shape(info.family),
+          info.family != sim::EncryptionScheme::kNone,
+          info.counter_bytes_per_line(config)};
+}
+
+// Every clause the analyzer and the controller derive from a registry entry,
+// pinned per entry.
+TEST(SchemeRegistry, DerivedClausesPerEntry) {
+  using enum WireSide;
+  using enum ReadShape;
+  const std::pair<const char*, DerivedClauses> expected[] = {
+      {"baseline", {kPlain, kPlain, false, kPassthrough, false, 0}},
+      {"direct", {kCipher, kCipher, false, kAesAfterData, true, 0}},
+      {"counter", {kCipher, kCipher, true, kPadOverlap, true, 8}},
+      {"seal-d", {kPlan, kPlan, false, kAesAfterData, true, 0}},
+      {"seal-c", {kPlan, kPlan, true, kPadOverlap, true, 8}},
+      {"seculator", {kCipher, kCipher, true, kPadOverlap, true, 1}},
+      {"guardnn", {kCipher, kPlain, false, kAesAfterData, true, 0}},
+  };
+  ASSERT_EQ(sim::scheme_registry().size(), std::size(expected));
+  for (const auto& [name, clauses] : expected) {
+    const sim::SchemeInfo* info = sim::find_scheme(name);
+    ASSERT_NE(info, nullptr) << name;
+    EXPECT_TRUE(derived_clauses(*info) == clauses) << name;
+  }
+}
+
+// ------------------------------------------------------------ timing ---
+
+TEST(SchemeTiming, EveryFamilyMatchesMeasuredShape) {
   for (const sim::SchemeInfo& info : sim::scheme_registry()) {
     verify::Report report;
-    verify::check_scheme_timing(info, info.model->contract(), report);
+    verify::check_scheme_timing(info, info.family, report);
     EXPECT_EQ(report.error_count(), 0u)
         << info.cli_name << ": " << report.to_text();
   }
@@ -128,13 +198,12 @@ TEST(SchemeTiming, EveryContractMatchesMeasuredShape) {
 
 TEST(SchemeTiming, FalsifiedShapeFiresForEveryEntry) {
   for (const sim::SchemeInfo& info : sim::scheme_registry()) {
-    sim::SchemeContract falsified = info.model->contract();
-    falsified.read_shape =
-        falsified.read_shape == sim::SerializationShape::kPassthrough
-            ? sim::SerializationShape::kAesAfterData
-            : sim::SerializationShape::kPassthrough;
+    const sim::EncryptionScheme other =
+        info.family == sim::EncryptionScheme::kNone
+            ? sim::EncryptionScheme::kDirect
+            : sim::EncryptionScheme::kNone;
     verify::Report report;
-    verify::check_scheme_timing(info, falsified, report);
+    verify::check_scheme_timing(info, other, report);
     EXPECT_TRUE(report.fired("scheme.timing")) << info.cli_name;
   }
 }
@@ -147,8 +216,8 @@ TEST(SchemeTiming, SeculatorPacksMoreCountersPerLine) {
   ASSERT_NE(counter, nullptr);
   ASSERT_NE(seculator, nullptr);
   const sim::GpuConfig config = sim::GpuConfig::gtx480();
-  EXPECT_EQ(seculator->model->counter_bytes_per_line(config), 1);
-  EXPECT_GT(counter->model->counter_bytes_per_line(config), 1);
+  EXPECT_EQ(seculator->counter_bytes_per_line(config), 1);
+  EXPECT_GT(counter->counter_bytes_per_line(config), 1);
 }
 
 // --------------------------------------------------- run-level conformance ---

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <list>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/cache.hpp"
@@ -487,6 +489,14 @@ TEST(ThroughputPipe, FractionalBandwidthExact) {
   EXPECT_EQ(done, 31u);  // ceil(30.30)
   EXPECT_NEAR(pipe.busy_cycles(), 1280.0 / 42.24, 1e-9);
   EXPECT_EQ(pipe.bytes_transferred(), 1280u);
+}
+
+// A zero, negative or non-finite bandwidth would book infinite or NaN
+// occupancy; the pipe refuses it in every build type.
+TEST(ThroughputPipe, RejectsNonPositiveOrNonFiniteBandwidth) {
+  for (const double rate : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    EXPECT_THROW(ThroughputPipe(rate, 0, "AES engine"), std::invalid_argument) << rate;
+  }
 }
 
 TEST(ThroughputPipe, UtilizationClamped) {

@@ -227,6 +227,20 @@ TEST(Cli, MalformedNumbersNameTheFlag) {
   EXPECT_THROW((void)flags.get_double("ratio", 0.5), std::invalid_argument);
 }
 
+TEST(Cli, NegativeCountNamesTheFlag) {
+  const char* argv[] = {"prog", "--tiles", "-1", "--chunk", "8"};
+  CliFlags flags(5, const_cast<char**>(argv));
+  try {
+    (void)flags.get_uint("tiles", 480);
+    FAIL() << "--tiles -1 parsed";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "--tiles: expected a non-negative integer, got '-1'");
+  }
+  EXPECT_EQ(flags.get_uint("chunk", 0), 8u);
+  EXPECT_EQ(flags.get_uint("jobs", 3), 3u);
+  EXPECT_EQ(flags.queried(), (std::vector<std::string>{"chunk", "jobs", "tiles"}));
+}
+
 TEST(Cli, QueriedListsEveryReadFlag) {
   const char* argv[] = {"prog", "--tile", "40"};
   CliFlags flags(3, const_cast<char**>(argv));

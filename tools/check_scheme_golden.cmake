@@ -1,10 +1,11 @@
 # ctest gate: every registry entry — the five paper schemes, captured before
-# the pluggable SchemeModel refactor, and the Seculator and GuardNN rivals,
-# captured before the layer directory moved into core::ModelLayout — must
-# stay byte-identical to its golden. Each scheme re-runs the
-# golden command and compares both artifacts — the profiled JSON run report
-# (cycle counts, per-layer stats, cycle profile) and the scheme-audit ledger
-# (byte provenance + digest + findings) — against tests/golden/.
+# the secure-path timing moved behind the scheme registry, and the Seculator
+# and GuardNN rivals, captured before the layer directory moved into
+# core::ModelLayout — must stay byte-identical to its golden. Each scheme
+# re-runs the golden command and compares both artifacts — the profiled JSON
+# run report (cycle counts, per-layer stats, cycle profile) and the
+# scheme-audit ledger (byte provenance + digest + findings) — against
+# tests/golden/.
 #
 # The report's provenance block records the generating host's core count,
 # which is the one legitimately host-dependent byte; it is neutralized on

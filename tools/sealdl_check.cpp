@@ -147,8 +147,7 @@ int main(int argc, char** argv) {
 
     verify::TraceCheckOptions trace_options;
     trace_options.num_warps = static_cast<int>(flags.get_int("warps", 12));
-    trace_options.max_tiles =
-        static_cast<std::uint64_t>(flags.get_int("tiles", 24));
+    trace_options.max_tiles = flags.get_uint("tiles", 24);
 
     const std::string inject_name = flags.get("inject", "");
     const std::string json_path = flags.get("json", "");

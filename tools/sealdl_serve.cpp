@@ -96,14 +96,14 @@ int run(int argc, char** argv) {
   const std::string scheme_name = flags.get("scheme", "baseline");
   const sim::SchemeInfo& entry = sim::resolve_scheme(scheme_name);
   const double ratio = flags.get_double("ratio", 0.5);
-  const auto tiles = static_cast<std::uint64_t>(flags.get_int("tiles", 480));
+  const auto tiles = flags.get_uint("tiles", 480);
   const int jobs = static_cast<int>(flags.get_int("jobs", 1));
 
   serve::ServeOptions serve_options;
   serve_options.rate_rps = flags.get_double("rate", 20.0);
   serve_options.duration_s = flags.get_double("duration", 1.0);
   serve_options.queue_depth =
-      static_cast<std::size_t>(flags.get_int("queue-depth", 32));
+      static_cast<std::size_t>(flags.get_uint("queue-depth", 32));
   serve_options.max_batch = static_cast<int>(flags.get_int("batch", 4));
   serve_options.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   serve_options.dispatch_overhead_cycles =
@@ -163,8 +163,7 @@ int run(int argc, char** argv) {
   const std::string json_path = flags.get("json", "");
   const std::string report_path = inject.empty() ? json_path : "";
   const std::string trace_path = flags.get("trace", "");
-  const auto sample_interval =
-      static_cast<sim::Cycle>(flags.get_int("sample-interval", 0));
+  const sim::Cycle sample_interval = flags.get_uint("sample-interval", 0);
   std::unique_ptr<telemetry::RunTelemetry> collect;
   if (!report_path.empty() || !trace_path.empty() || serve_options.profile) {
     telemetry::TelemetryOptions topts;

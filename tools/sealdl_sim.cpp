@@ -31,8 +31,8 @@
 //
 // Scheme audit (network workloads only):
 //   --scheme-audit            attach a byte-provenance taint probe to the bus,
-//                             then prove the run against the scheme's own
-//                             declared SchemeContract (scheme.* rules,
+//                             then prove the run against what the scheme's
+//                             family and scope imply (scheme.* rules,
 //                             docs/ANALYSIS.md) and run the known-plaintext
 //                             scheme.oracle transcript — for every registered
 //                             scheme, paper and rival alike
@@ -149,7 +149,7 @@ int run(int argc, char** argv) {
   const std::string workload = flags.get("workload", "vgg16");
   const sim::SchemeInfo& entry = sim::resolve_scheme(flags.get("scheme", "baseline"));
   const double ratio = flags.get_double("ratio", 0.5);
-  const auto tiles = static_cast<std::uint64_t>(flags.get_int("tiles", 480));
+  const auto tiles = flags.get_uint("tiles", 480);
 
   sim::GpuConfig config = sim::GpuConfig::gtx480();
   config.scheme = &entry;
@@ -164,10 +164,9 @@ int run(int argc, char** argv) {
   // the simulation path is identical to a telemetry-free build.
   const std::string json_path = flags.get("json", "");
   const std::string trace_path = flags.get("trace", "");
-  const auto sample_interval =
-      static_cast<sim::Cycle>(flags.get_int("sample-interval", 10000));
+  const sim::Cycle sample_interval = flags.get_uint("sample-interval", 10000);
   const auto max_samples =
-      static_cast<std::size_t>(flags.get_int("max-samples", 0));
+      static_cast<std::size_t>(flags.get_uint("max-samples", 0));
   const std::string folded_path = flags.get("profile-folded", "");
   const std::string inject = flags.get("inject", "");
   if (!inject.empty()) {
@@ -210,7 +209,7 @@ int run(int argc, char** argv) {
   // Sub-layer work units: --chunk N splits each layer's simulated slice into
   // tile-chunk waves of at most N tiles (0 = whole layer per unit). For a
   // fixed --chunk the results are bitwise-identical across --jobs.
-  options.chunk_tiles = static_cast<std::uint64_t>(flags.get_int("chunk", 0));
+  options.chunk_tiles = flags.get_uint("chunk", 0);
   // Naive per-cycle run loop for differential testing of the event-skipping
   // fast path (identical results, much slower).
   options.fast_path = !flags.get_bool("no-fast-path", false);
