@@ -150,7 +150,24 @@ std::string network_names() {
 }
 
 std::vector<LayerSpec> network_specs(const std::string& name, int input_hw) {
-  return find_network(name).specs(input_hw);
+  std::vector<LayerSpec> specs = find_network(name).specs(input_hw);
+  // A too-small input shrinks some layer to nothing, which the layout would
+  // only report later as a zero-size allocation.
+  for (const LayerSpec& spec : specs) {
+    const bool fc = spec.type == LayerSpec::Type::kFc;
+    const char* empty = nullptr;
+    if (fc ? spec.in_features < 1 : spec.in_h < 1 || spec.in_w < 1) {
+      empty = "input";
+    } else if (fc ? spec.out_features < 1 : spec.out_h() < 1 || spec.out_w() < 1) {
+      empty = "output";
+    }
+    if (empty) {
+      throw std::invalid_argument("input size " + std::to_string(input_hw) +
+                                  " is too small for " + name + ": layer " +
+                                  spec.name + " has an empty " + empty);
+    }
+  }
+  return specs;
 }
 
 std::unique_ptr<Sequential> build_model(const std::string& name,

@@ -39,7 +39,9 @@ std::unique_ptr<nn::Sequential> build_resnet34(const BuildOptions& options);
 std::string network_names();
 
 /// Paper-scale spec list of a named network. Throws std::invalid_argument
-/// "unknown network <name> (vgg16|resnet18|resnet34)" for any other name.
+/// "unknown network <name> (vgg16|resnet18|resnet34)" for any other name, and
+/// "input size <n> is too small for <name>: layer <layer> has an empty ..."
+/// when `input_hw` leaves some layer without input or output.
 std::vector<LayerSpec> network_specs(const std::string& name, int input_hw = 224);
 
 /// Builds a named network; unknown names throw as network_specs does.

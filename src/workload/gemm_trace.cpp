@@ -38,7 +38,7 @@ class GemmWarpProgram final : public BufferedWarpProgram {
       const std::uint64_t k0 = ((chunk_ + phase_) % chunks) * 32;
       const auto depth = std::min<std::uint64_t>(32, static_cast<std::uint64_t>(spec_.k) - k0);
       // A tile: `rows` row segments of `depth` floats.
-      std::vector<sim::Addr> lines;
+      std::vector<sim::Addr>& lines = scratch_lines();
       for (std::uint64_t r = 0; r < rows; ++r) {
         collect_lines(
             spec_.a_base + ((m0 + r) * static_cast<std::uint64_t>(spec_.k) + k0) * 4,

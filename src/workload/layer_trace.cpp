@@ -83,7 +83,7 @@ class ConvWarpProgram final : public BufferedWarpProgram {
       const int ics = std::min(ic_chunk_, s.in_channels - ic0);
       // Weight-row segments: row ic holds all output channels contiguously
       // ([ic][oc][k*k] layout), so the oc block is one contiguous span.
-      std::vector<sim::Addr> lines;
+      std::vector<sim::Addr>& lines = scratch_lines();
       const std::uint64_t cell = static_cast<std::uint64_t>(s.kernel) * static_cast<std::uint64_t>(s.kernel) * 4;
       for (int ic = ic0; ic < ic0 + ics; ++ic) {
         collect_lines(layer_.weight_base +
@@ -236,7 +236,7 @@ class FcWarpProgram final : public BufferedWarpProgram {
       const int i0 = chunk_ * in_chunk_;
       const int is = std::min(in_chunk_, s.in_features - i0);
       // Weight rows are input-major: row i holds out_features floats.
-      std::vector<sim::Addr> lines;
+      std::vector<sim::Addr>& lines = scratch_lines();
       for (int i = i0; i < i0 + is; ++i) {
         collect_lines(layer_.weight_base +
                           static_cast<std::uint64_t>(i) * layer_.weight_row_pitch +
@@ -272,6 +272,18 @@ class FcWarpProgram final : public BufferedWarpProgram {
   int chunk_ = 0;
   std::uint32_t pending_compute_ = 0;
 };
+
+/// Loads + stores of tile `tile` alone, replayed on a scratch program.
+template <typename Program>
+std::uint64_t tile_memory_ops(const LayerAddressing& layer,
+                              const LayerTraceOptions& options, std::uint64_t tile) {
+  Program program(layer, options, tile, tile + 1);
+  std::uint64_t ops = 0;
+  while (const auto op = program.next()) {
+    if (op->kind == sim::WarpOp::Kind::kLoad || op->kind == sim::WarpOp::Kind::kStore) ++ops;
+  }
+  return ops;
+}
 
 template <typename Program>
 LayerWork build(const LayerAddressing& layer, const LayerTraceOptions& options,
@@ -322,6 +334,12 @@ LayerWork build(const LayerAddressing& layer, const LayerTraceOptions& options,
     work.simulated_tiles += sub_end - sub_begin;
     work.programs.push_back(
         std::make_unique<Program>(layer, options, sub_begin, sub_end));
+  }
+  // Cost estimate from the middle tile: tile 0 sits in a padded corner, whose
+  // clipped input patch undercounts an interior tile's loads.
+  if (work.simulated_tiles) {
+    work.memory_ops_estimate =
+        tile_memory_ops<Program>(layer, options, total / 2) * work.simulated_tiles;
   }
   return work;
 }

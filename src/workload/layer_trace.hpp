@@ -39,6 +39,11 @@ struct LayerWork {
   std::vector<sim::WarpProgramPtr> programs;
   std::uint64_t total_tiles = 0;      ///< full-layer tile count
   std::uint64_t simulated_tiles = 0;  ///< tiles covered by the programs
+  /// Loads + stores the programs will issue, estimated as one replayed
+  /// interior tile's memory ops times simulated_tiles (exact for FC). Host
+  /// simulation time tracks L2 accesses, so the parallel runner submits its
+  /// work units in descending order of this estimate.
+  std::uint64_t memory_ops_estimate = 0;
   /// cycles measured on the simulated slice scale to the full layer by
   /// total_tiles / simulated_tiles.
   [[nodiscard]] double scale() const {

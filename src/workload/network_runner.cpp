@@ -1,8 +1,10 @@
 #include "workload/network_runner.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <future>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -46,20 +48,16 @@ struct LayerOutcome {
   std::uint64_t simulated_tiles = 0;  ///< tiles this outcome covers
 };
 
-/// Simulates one work unit: a laid-out layer, or — when chunking is on — one
-/// tile-chunk wave of it. Reads only shared-immutable state (layout, secure
-/// map, config, options) plus its own simulator — safe to run from any
-/// thread, and bit-deterministic regardless of which thread runs it.
-LayerOutcome simulate_layer(const core::LayerAddressing& layer,
+/// Simulates one work unit's programs: a laid-out layer, or — when chunking
+/// is on — one tile-chunk wave of it. Reads only shared-immutable state
+/// (layout, secure map, config, options) plus its own simulator — safe to run
+/// from any thread, and bit-deterministic regardless of which thread runs it.
+LayerOutcome simulate_layer(const core::LayerAddressing& layer, LayerWork work,
                             const sim::GpuConfig& config,
                             const sim::SecureMap& secure_map,
-                            const RunOptions& options, int num_warps,
-                            bool collect_metrics, sim::Cycle sample_interval,
-                            bool profile, sim::BusProbe* probe,
-                            int chunk_index = 0, int num_chunks = 1) {
-  LayerWork work =
-      make_layer_programs(layer, num_warps, options.max_tiles_per_layer, {},
-                          chunk_index, num_chunks);
+                            const RunOptions& options, bool collect_metrics,
+                            sim::Cycle sample_interval, bool profile,
+                            sim::BusProbe* probe) {
   sim::GpuSimulator simulator(config, &secure_map);
   simulator.set_fast_path(options.fast_path);
   simulator.load_work(std::move(work.programs));
@@ -228,6 +226,12 @@ NetworkResult run_specs(const std::vector<models::LayerSpec>& specs,
     for (int c = 0; c < num_chunks; ++c) units.push_back({idx, c, num_chunks});
   }
 
+  const auto build_unit = [&](const WorkUnit& unit) {
+    return make_layer_programs(layout.layers().at(unit.spec_index), num_warps,
+                               options.max_tiles_per_layer, {}, unit.chunk,
+                               unit.num_chunks);
+  };
+
   const int jobs = options.jobs == 1 ? 1 : util::ThreadPool::resolve_jobs(options.jobs);
   if (jobs <= 1 || units.size() <= 1) {
     std::optional<LayerOutcome> pending;
@@ -235,10 +239,9 @@ NetworkResult run_specs(const std::vector<models::LayerSpec>& specs,
       std::unique_ptr<sim::BusProbe> probe =
           hook ? hook->make_probe(unit.spec_index) : nullptr;
       merge_chunk(
-          simulate_layer(layout.layers().at(unit.spec_index), config,
-                         heap.secure_map(), options, num_warps,
-                         collect_metrics, sample_interval, profile,
-                         probe.get(), unit.chunk, unit.num_chunks),
+          simulate_layer(layout.layers().at(unit.spec_index), build_unit(unit),
+                         config, heap.secure_map(), options, collect_metrics,
+                         sample_interval, profile, probe.get()),
           pending);
       if (hook) hook->merge_probe(std::move(probe), unit.spec_index);
       if (unit.chunk == unit.num_chunks - 1) {
@@ -249,17 +252,23 @@ NetworkResult run_specs(const std::vector<models::LayerSpec>& specs,
     return result;
   }
 
-  // The pool is declared after layout/heap so that, if a merge rethrows a
-  // task exception, its destructor drains in-flight tasks while everything
-  // they borrow is still alive.
-  util::ThreadPool pool(
-      static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(jobs),
-                                             units.size())));
-  std::vector<std::future<LayerOutcome>> futures;
-  futures.reserve(units.size());
-  // Probes are created in unit order before submission and owned here (they
-  // must outlive the tasks); each task only sees its own probe, and the
-  // merge loop hands them back in the same order — the task-private +
+  // Each unit's programs are built once, here, and moved into its task;
+  // their memory-op estimate ranks the units. Host time tracks L2 accesses,
+  // so submitting the largest estimates first keeps a run's long units out
+  // of its tail (a MAC ranking does not: compute-bound units are cheap to
+  // simulate). stable_sort keeps ties in unit order.
+  std::vector<LayerWork> works;
+  works.reserve(units.size());
+  for (const WorkUnit& unit : units) works.push_back(build_unit(unit));
+  std::vector<std::size_t> order(units.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::ranges::stable_sort(order, std::ranges::greater{}, [&](std::size_t k) {
+    return works[k].memory_ops_estimate;
+  });
+
+  // Probes are created in unit order before any submission and owned here
+  // (they must outlive the tasks); each task only sees its own probe, and
+  // the merge loop hands them back in the same order — the task-private +
   // ordered-merge discipline that keeps hook state jobs-invariant. A layer's
   // chunk probes merge back to back, so a hook accumulating per spec_index
   // sees the same additive sequence as a serial run.
@@ -267,17 +276,27 @@ NetworkResult run_specs(const std::vector<models::LayerSpec>& specs,
   probes.reserve(units.size());
   for (const WorkUnit& unit : units) {
     probes.push_back(hook ? hook->make_probe(unit.spec_index) : nullptr);
-    sim::BusProbe* probe = probes.back().get();
-    futures.push_back(pool.submit([&layout, &config, &heap, &options, num_warps,
-                                   collect_metrics, sample_interval, profile,
-                                   probe, unit] {
-      return simulate_layer(layout.layers().at(unit.spec_index), config,
-                            heap.secure_map(), options, num_warps,
-                            collect_metrics, sample_interval, profile, probe,
-                            unit.chunk, unit.num_chunks);
-    }));
   }
-  // Merge strictly in submission (= spec x chunk) order; get() rethrows the
+
+  // The pool is declared after layout/heap/probes so that, if a merge
+  // rethrows a task exception, its destructor drains in-flight tasks while
+  // everything they borrow is still alive.
+  util::ThreadPool pool(
+      static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(jobs),
+                                             units.size())));
+  // Futures stay indexed by unit, whatever the submission order.
+  std::vector<std::future<LayerOutcome>> futures(units.size());
+  for (const std::size_t k : order) {
+    const core::LayerAddressing& layer = layout.layers().at(units[k].spec_index);
+    futures[k] = pool.submit([&layer, &config, &heap, &options, collect_metrics,
+                              sample_interval, profile, probe = probes[k].get(),
+                              work = std::move(works[k])]() mutable {
+      return simulate_layer(layer, std::move(work), config, heap.secure_map(),
+                            options, collect_metrics, sample_interval, profile,
+                            probe);
+    });
+  }
+  // Merge strictly in unit (= spec x chunk) order; get() rethrows the
   // first task exception to the caller. Chunk waves fold into a pending
   // layer outcome, which flushes to the shared sink when its last chunk
   // lands — the sink sees one operation sequence regardless of jobs.

@@ -73,6 +73,16 @@ class BufferedWarpProgram : public sim::WarpProgram {
     for (sim::Addr line = first; line <= last; line += 128) out.push_back(line);
   }
 
+  /// The calling thread's line list, emptied: the K-loop refills collect
+  /// into it instead of allocating a fresh vector per chunk. One list per
+  /// thread, not per program, because a thread drains one program at a time
+  /// and hundreds of programs are alive per work unit.
+  static std::vector<sim::Addr>& scratch_lines() {
+    thread_local std::vector<sim::Addr> lines;
+    lines.clear();
+    return lines;
+  }
+
   /// Emits `lines` as loads interleaved with `compute` instructions, a few
   /// loads per compute slice. This is how compiled kernels actually schedule:
   /// next-tile loads are hoisted between MAC bundles, so a warp stalled on a

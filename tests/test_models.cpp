@@ -181,6 +181,29 @@ TEST(NetworkTable, UnknownNameThrowsNamingTheAcceptedSet) {
   }
 }
 
+// An input that shrinks a layer to nothing is refused up front, naming the
+// size and the first empty layer, instead of failing later in the layout.
+TEST(NetworkTable, TooSmallInputNamesTheSizeAndTheEmptyLayer) {
+  const auto message = [](const std::string& name, int input_hw) -> std::string {
+    try {
+      (void)network_specs(name, input_hw);
+    } catch (const std::invalid_argument& error) {
+      return error.what();
+    }
+    return "accepted";
+  };
+  EXPECT_EQ(message("vgg16", 1),
+            "input size 1 is too small for vgg16: layer conv2_1 has an empty input");
+  EXPECT_EQ(message("vgg16", 0),
+            "input size 0 is too small for vgg16: layer conv1_1 has an empty input");
+  EXPECT_EQ(message("vgg16", 16),
+            "input size 16 is too small for vgg16: layer fc6 has an empty input");
+  EXPECT_EQ(message("resnet34", -3),
+            "input size -3 is too small for resnet34: layer conv1 has an empty input");
+  EXPECT_EQ(message("vgg16", 32), "accepted");
+  EXPECT_EQ(message("resnet18", 32), "accepted");
+}
+
 TEST(Build, WidthDivScalesParameterCount) {
   BuildOptions wide = tiny();
   wide.width_div = 8;

@@ -8,16 +8,21 @@
 // executing concurrently do not perturb each other.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <future>
+#include <numeric>
 #include <thread>
 
 #include "models/layer_spec.hpp"
+#include "sim/bus_probe.hpp"
 #include "sim/scheme_registry.hpp"
 #include "telemetry/profiler.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/json.hpp"
 #include "verify/checker.hpp"
 #include "verify/profile_checkers.hpp"
+#include "workload/layer_trace.hpp"
 #include "workload/network_runner.hpp"
 
 namespace sealdl::workload {
@@ -239,6 +244,84 @@ TEST(ChunkedDeterminism, OversizedChunkMatchesUnchunked) {
   const SimRun one_chunk =
       run_with_jobs(specs, 0.5, /*jobs=*/2, /*chunk_tiles=*/kTiles * 64);
   expect_runs_identical(unchunked, one_chunk);
+}
+
+/// Records the hook protocol and, per spec index, a digest of the transfers
+/// its probe saw (count, bytes, and an FNV-1a hash over the ordered stream).
+class RecordingHook final : public BusProbeHook {
+ public:
+  struct Digest {
+    std::uint64_t transfers = 0;
+    std::uint64_t bytes = 0;
+    std::uint64_t hash = 1469598103934665603ULL;
+    bool operator==(const Digest&) const = default;
+  };
+
+  std::unique_ptr<sim::BusProbe> make_probe(std::size_t spec_index) override {
+    made.push_back(spec_index);
+    return std::make_unique<Probe>();
+  }
+  void merge_probe(std::unique_ptr<sim::BusProbe> probe,
+                   std::size_t spec_index) override {
+    merged.push_back(spec_index);
+    digests.push_back(static_cast<Probe&>(*probe).digest);
+  }
+
+  std::vector<std::size_t> made, merged;
+  std::vector<Digest> digests;  ///< in merge order
+
+ private:
+  struct Probe final : sim::BusProbe {
+    void on_transfer(sim::Addr line_addr, std::uint32_t bytes, bool is_write,
+                     bool encrypted) override {
+      ++digest.transfers;
+      digest.bytes += bytes;
+      for (const std::uint64_t word :
+           {line_addr, std::uint64_t{bytes}, std::uint64_t{is_write}, std::uint64_t{encrypted}}) {
+        digest.hash = (digest.hash ^ word) * 1099511628211ULL;
+      }
+    }
+    Digest digest;
+  };
+};
+
+// The BusProbeHook contract under longest-first dispatch: units are
+// submitted in descending memory-op estimate, yet make_probe and merge_probe
+// still arrive in spec order 0..n-1 from the submitting thread, and every
+// probe sees exactly the transfers of a serial run.
+TEST(ProbeHookOrder, SpecOrderAndSerialResultsAtJobsFour) {
+  const auto specs = specs_for("resnet18");
+  const auto run = [&](int jobs) {
+    sim::GpuConfig config = sim::GpuConfig::gtx480();
+    config.scheme = &sim::resolve_scheme("seal-c");
+    RunOptions options;
+    options.max_tiles_per_layer = kTiles;
+    options.jobs = jobs;
+    RecordingHook hook;
+    options.probe_hook = &hook;
+    (void)run_network(specs, config, options);
+    return hook;
+  };
+  // The case is not vacuous: spec order is not already longest-first.
+  core::SecureHeap heap;
+  const core::ModelLayout layout(specs, nullptr, heap);
+  std::vector<std::uint64_t> estimates;
+  for (const core::LayerAddressing& layer : layout.layers()) {
+    estimates.push_back(make_layer_programs(layer, 480, kTiles).memory_ops_estimate);
+  }
+  EXPECT_FALSE(std::ranges::is_sorted(estimates, std::ranges::greater{}));
+
+  const RecordingHook serial = run(1);
+  const RecordingHook parallel = run(4);
+  std::vector<std::size_t> spec_order(specs.size());
+  std::iota(spec_order.begin(), spec_order.end(), std::size_t{0});
+  EXPECT_EQ(parallel.made, spec_order);
+  EXPECT_EQ(parallel.merged, spec_order);
+  EXPECT_EQ(serial.merged, spec_order);
+  EXPECT_TRUE(parallel.digests == serial.digests);
+  for (const RecordingHook::Digest& digest : serial.digests) {
+    EXPECT_GT(digest.transfers, 0u);
+  }
 }
 
 // Regression: runners executing concurrently (each itself parallel) must not

@@ -173,17 +173,30 @@ double thread_cpu_seconds() {
   return static_cast<double>(now.tv_sec) + static_cast<double>(now.tv_nsec) * 1e-9;
 }
 
+// Host noise is what this test has to outlast. On a shared host a run's
+// thread CPU time drifts by 5-10 % between runs a second apart, more than the
+// bound itself. So one sample interleaves the two paths a layer at a time
+// (RunOptions::layer_filter, runs about 20 ms apart), alternating which goes
+// first, and sums each side over every layer twice. Each layer simulates 120
+// tiles, so the disabled path's fixed per-layer cost (one phase record and
+// one metrics fragment) stays under 0.5 % of a layer's run.
 TEST(DisabledPathOverhead, AtMostTwoPercent) {
+  constexpr std::uint64_t kOverheadTiles = 120;
+  constexpr int kRounds = 2;
   const auto specs = models::vgg16_specs(kInput);
   sim::GpuConfig config = sim::GpuConfig::gtx480();
   config.scheme = &sim::resolve_scheme("counter");
   RunOptions base;
-  base.max_tiles_per_layer = kTiles;
+  base.max_tiles_per_layer = kOverheadTiles;
   base.plan.encryption_ratio = 0.5;
 
-  const auto time_run = [&](telemetry::RunTelemetry* telemetry) {
+  // Telemetry attached, profiling off: the run loop sees the same null
+  // profiler pointer plus per-layer record collection.
+  const auto time_layer = [&](std::size_t layer, bool attach) {
+    telemetry::RunTelemetry telemetry{telemetry::TelemetryOptions{}};
     RunOptions options = base;
-    options.telemetry = telemetry;
+    options.layer_filter = {layer};
+    options.telemetry = attach ? &telemetry : nullptr;
     const double begin = thread_cpu_seconds();
     const NetworkResult result = run_network(specs, config, options);
     const double end = thread_cpu_seconds();
@@ -191,19 +204,23 @@ TEST(DisabledPathOverhead, AtMostTwoPercent) {
     return end - begin;
   };
 
+  double ratio = 0.0;
   for (int attempt = 0; attempt < 3; ++attempt) {
-    double plain = 1e300;
-    double disabled = 1e300;
-    for (int i = 0; i < 3; ++i) {
-      plain = std::min(plain, time_run(nullptr));
-      // Telemetry attached, profiling off: the run loop sees the same null
-      // profiler pointer plus per-layer record collection.
-      telemetry::RunTelemetry telemetry{telemetry::TelemetryOptions{}};
-      disabled = std::min(disabled, time_run(&telemetry));
+    double plain = 0.0;
+    double disabled = 0.0;
+    for (int round = 0; round < kRounds; ++round) {
+      for (std::size_t layer = 0; layer < specs.size(); ++layer) {
+        const bool plain_first = (layer + static_cast<std::size_t>(round)) % 2 == 0;
+        if (plain_first) plain += time_layer(layer, false);
+        disabled += time_layer(layer, true);
+        if (!plain_first) plain += time_layer(layer, false);
+      }
     }
-    if (disabled <= plain * 1.02) return;
+    ratio = disabled / plain;
+    if (ratio <= 1.02) return;
   }
-  ADD_FAILURE() << "instrumented-but-disabled path exceeds 2% overhead";
+  ADD_FAILURE() << "instrumented-but-disabled path exceeds 2% overhead (last ratio "
+                << ratio << ")";
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/model_layout.hpp"
+#include "models/build.hpp"
 #include "sim/scheme_registry.hpp"
 #include "workload/gemm_trace.hpp"
 #include "workload/layer_trace.hpp"
@@ -182,6 +183,30 @@ TEST(FcTrace, WeightTrafficDominates) {
   // floats) plus the input vector (256 floats / 32 = 8 lines per block).
   EXPECT_EQ(counts.loads, 2u * (256u + 8u));
   EXPECT_EQ(counts.stores, 2u);
+}
+
+// The dispatch cost estimate (one replayed tile's loads + stores times the
+// simulated tiles) against the drained programs, for every layer of the
+// three networks at the benchmark's sampling: exact where every tile issues
+// the same memory ops (FC), within 35 % where padding and edge tiles vary.
+TEST(LayerWorkEstimate, TracksDrainedMemoryOps) {
+  for (const std::string network : {"vgg16", "resnet18", "resnet34"}) {
+    const auto specs = models::network_specs(network);
+    core::SecureHeap heap;
+    const core::ModelLayout layout(specs, nullptr, heap);
+    for (const core::LayerAddressing& layer : layout.layers()) {
+      SCOPED_TRACE(network + "/" + layer.spec.name);
+      LayerWork work = make_layer_programs(layer, 480, 120);
+      const OpCounts counts = drain_all(work.programs);
+      const std::uint64_t ops = counts.loads + counts.stores;
+      if (layer.spec.type == models::LayerSpec::Type::kFc) {
+        EXPECT_EQ(work.memory_ops_estimate, ops);
+      } else {
+        EXPECT_NEAR(static_cast<double>(work.memory_ops_estimate),
+                    static_cast<double>(ops), 0.35 * static_cast<double>(ops));
+      }
+    }
+  }
 }
 
 TEST(NetworkRunner, SchemesOrderOnSmallNetwork) {

@@ -18,6 +18,7 @@
 // 1 = findings (or an injection went undetected), 2 = usage error.
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -146,7 +147,13 @@ int main(int argc, char** argv) {
     options.selective = !flags.get_bool("baseline", false);
 
     verify::TraceCheckOptions trace_options;
-    trace_options.num_warps = static_cast<int>(flags.get_int("warps", 12));
+    const std::uint64_t warps = flags.get_uint("warps", 12);
+    if (warps == 0 || warps > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+      // Zero warps would generate no trace at all and pass every trace.* rule.
+      throw std::invalid_argument("--warps: expected a positive warp count, got " +
+                                  std::to_string(warps));
+    }
+    trace_options.num_warps = static_cast<int>(warps);
     trace_options.max_tiles = flags.get_uint("tiles", 24);
 
     const std::string inject_name = flags.get("inject", "");
