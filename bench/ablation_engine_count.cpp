@@ -18,7 +18,7 @@ int main_impl(int argc, char** argv) {
   const auto tiles = flags.get_uint("tiles", 480);
   const int input = static_cast<int>(flags.get_int("input", 224));
   const int jobs = bench::jobs_from_flags(flags);
-  bench::check_flags(flags);
+  flags.reject_unknown();
 
   bench::banner("Ablation — AES engines per memory controller (Direct, VGG-16)",
                 "one engine per controller is the paper's cost-constrained "

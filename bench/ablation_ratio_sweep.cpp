@@ -19,7 +19,7 @@ int main_impl(int argc, char** argv) {
   const int input = static_cast<int>(flags.get_int("input", 224));
   const std::string model = flags.get("model", "vgg16");
   const int jobs = bench::jobs_from_flags(flags);
-  bench::check_flags(flags);
+  flags.reject_unknown();
   const auto specs = models::network_specs(model, input);
 
   bench::banner("Ablation — encryption-ratio sweep (SEAL-D on " + model + ")",

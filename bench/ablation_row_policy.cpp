@@ -17,7 +17,7 @@ namespace {
 int main_impl(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   const bool quick = flags.get_bool("quick", false);
-  bench::check_flags(flags);
+  flags.reject_unknown();
 
   bench::banner("Ablation — row-selection policy at 50% ratio (vgg16)",
                 "the SE scheme leaves the smallest-l1 rows plaintext; exposing "

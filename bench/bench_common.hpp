@@ -199,20 +199,6 @@ inline void banner(const std::string& title, const std::string& paper_claim) {
   std::printf("paper: %s\n\n", paper_claim.c_str());
 }
 
-/// Rejects flags the bench never read, so a typo such as `--tile 40` or a
-/// `--help` fails before the sweep instead of running it with defaults.
-/// Call it once every flag (telemetry sinks included) has been read and
-/// before simulating; run_main() turns the throw into exit code 2.
-inline void check_flags(const util::CliFlags& flags) {
-  const std::vector<std::string> unknown = flags.unused();
-  if (unknown.empty()) return;
-  std::string message = "unknown flag";
-  for (const std::string& name : unknown) message += " --" + name;
-  message += " (accepted:";
-  for (const std::string& name : flags.queried()) message += " --" + name;
-  throw std::invalid_argument(message + ")");
-}
-
 /// Runs a bench body: a usage error (std::invalid_argument — an unknown flag
 /// or a malformed value) prints `error: ...` and exits 2, any other failure
 /// exits 1.

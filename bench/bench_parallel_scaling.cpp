@@ -32,7 +32,7 @@ int main_impl(int argc, char** argv) {
   const auto chunk = flags.get_uint("chunk", 0);
   const bool fast_path = !flags.get_bool("no-fast-path", false);
   const std::string out = flags.get("out", "BENCH_parallel.json");
-  bench::check_flags(flags);
+  flags.reject_unknown();
 
   bench::banner("Parallel scaling — fig7 workload wall time vs --jobs",
                 "layer-level parallelism should cut full-sweep turnaround "

@@ -113,7 +113,7 @@ int main_impl(int argc, char** argv) {
   const double slo_ms = flags.get_double("slo", 250.0);
   const double capacity_duration = flags.get_double("capacity-duration", 120.0);
   const std::string out = flags.get("out", "BENCH_serving.json");
-  bench::check_flags(flags);
+  flags.reject_unknown();
 
   bench::banner("Serving — offered load x scheme (VGG-16, open-loop Poisson)",
                 "encryption inflates service time, so the same offered load "

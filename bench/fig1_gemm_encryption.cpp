@@ -34,7 +34,7 @@ int main_impl(int argc, char** argv) {
   const int dim = static_cast<int>(flags.get_int("dim", 1024));
   const auto tiles = flags.get_uint("tiles", 960);
   const bool sweep = flags.get_bool("sweep", false);
-  bench::check_flags(flags);
+  flags.reject_unknown();
 
   bench::banner("Figure 1 — GEMM under straightforward memory encryption",
                 "encryption decreases GPU IPC by 45-54% on matrix "

@@ -43,7 +43,7 @@ int main_impl(int argc, char** argv) {
   const int seeds = static_cast<int>(flags.get_int("seeds", 1));
   const auto models =
       util::split_csv(flags.get("models", quick ? "vgg16" : "vgg16,resnet18,resnet34"));
-  bench::check_flags(flags);
+  flags.reject_unknown();
   const std::vector<double> ratios =
       quick ? std::vector<double>{0.9, 0.5, 0.2}
             : std::vector<double>{0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1};

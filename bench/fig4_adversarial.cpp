@@ -51,7 +51,7 @@ int main_impl(int argc, char** argv) {
   // geometry with the victim than the paper's full-size models, so small-eps
   // examples transfer to nothing and the figure degenerates. --eps tunes it.
   const auto epsilon = static_cast<float>(flags.get_double("eps", 1.0));
-  bench::check_flags(flags);
+  flags.reject_unknown();
   const std::vector<double> ratios =
       quick ? std::vector<double>{0.9, 0.5, 0.2}
             : std::vector<double>{0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1};

@@ -16,7 +16,7 @@ int main_impl(int argc, char** argv) {
   const double ratio = flags.get_double("ratio", 0.5);
   const int jobs = bench::jobs_from_flags(flags);
   auto collect = bench::telemetry_from_flags(flags);
-  bench::check_flags(flags);
+  flags.reject_unknown();
 
   bench::banner("Figure 5 — per-CONV-layer IPC normalized to Baseline",
                 "Direct/Counter reduce IPC by up to 40%; SEAL-D/SEAL-C improve "

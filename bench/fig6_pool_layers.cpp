@@ -14,7 +14,7 @@ int main_impl(int argc, char** argv) {
   const auto tiles = flags.get_uint("tiles", 960);
   const double ratio = flags.get_double("ratio", 0.5);
   const int jobs = bench::jobs_from_flags(flags);
-  bench::check_flags(flags);
+  flags.reject_unknown();
 
   bench::banner("Figure 6 — per-POOL-layer IPC normalized to Baseline",
                 "Direct/Counter reduce IPC by up to 50% (POOL is more "

@@ -20,7 +20,7 @@ int main_impl(int argc, char** argv) {
   const int input = static_cast<int>(flags.get_int("input", 224));
   const int jobs = bench::jobs_from_flags(flags);
   auto collect = bench::telemetry_from_flags(flags);
-  bench::check_flags(flags);
+  flags.reject_unknown();
 
   bench::banner("Figure 7 — overall IPC normalized to Baseline",
                 "Direct/Counter reduce whole-inference IPC by 30-38%; SEAL-D "

@@ -18,7 +18,7 @@ int main_impl(int argc, char** argv) {
   const double ratio = flags.get_double("ratio", 0.5);
   const int input = static_cast<int>(flags.get_int("input", 224));
   const int jobs = bench::jobs_from_flags(flags);
-  bench::check_flags(flags);
+  flags.reject_unknown();
 
   bench::banner("Figure 8 — inference latency normalized to Baseline",
                 "Direct/Counter increase latency by 39-60%; SEAL-D and SEAL-C "

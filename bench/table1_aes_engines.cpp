@@ -15,7 +15,7 @@ namespace {
 int main_impl(int argc, char** argv) {
   util::CliFlags flags(argc, argv);
   const int lines = static_cast<int>(flags.get_int("lines", 4000));
-  bench::check_flags(flags);
+  flags.reject_unknown();
 
   bench::banner("Table I — AES encryption engine implementations (counter mode)",
                 "published area/power/latency/throughput; the modeled SEAL "

@@ -5,7 +5,6 @@
 namespace sealdl::serve {
 
 std::optional<Request> AdmissionQueue::offer(const Request& request) {
-  util::MutexLock lock(mutex_);
   ++offered_;
   // Direct admission enters the queue at its own arrival instant.
   Request admitted = request;
@@ -44,10 +43,10 @@ std::optional<Request> AdmissionQueue::offer(const Request& request) {
   return std::nullopt;
 }
 
-std::vector<Request> AdmissionQueue::pop_batch(int max_batch, sim::Cycle now) {
-  util::MutexLock lock(mutex_);
-  std::vector<Request> batch;
-  if (queue_.empty()) return batch;
+void AdmissionQueue::pop_batch(int max_batch, sim::Cycle now,
+                               std::vector<Request>& batch) {
+  batch.clear();
+  if (queue_.empty()) return;
   const int network = queue_.front().network;
   const auto limit = static_cast<std::size_t>(std::max(1, max_batch));
   for (auto it = queue_.begin(); it != queue_.end() && batch.size() < limit;) {
@@ -59,7 +58,6 @@ std::vector<Request> AdmissionQueue::pop_batch(int max_batch, sim::Cycle now) {
     }
   }
   refill_from_backlog(now);
-  return batch;
 }
 
 void AdmissionQueue::refill_from_backlog(sim::Cycle now) {

@@ -8,12 +8,12 @@
 // is counted so the serving report can state exactly where offered load
 // went.
 //
-// Internally synchronized: every member is SEALDL_GUARDED_BY the queue
-// mutex and every public method takes it, so concurrent producers (a future
-// multi-threaded ingest path) are safe by construction — under Clang with
-// -DSEALDL_THREAD_SAFETY=ON an unlocked access is a compile error. The
-// serving loop today is single-threaded; the uncontended lock costs nothing
-// measurable against a dispatch, and determinism is untouched.
+// Single owner, no lock: each queue is a local of one run_fleet call and is
+// only ever touched by the thread running that call's event loop. --jobs
+// parallelizes ServiceModel profiling, which finishes before the loop
+// starts, so nothing else can reach a queue. The event loop reads
+// empty()/front()/size() for every pipeline on every event; a lock there
+// would cost more than the rest of the loop.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +23,6 @@
 
 #include "serve/options.hpp"
 #include "serve/request_gen.hpp"
-#include "util/lock_audit.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace sealdl::serve {
 
@@ -35,78 +33,46 @@ class AdmissionQueue {
 
   /// Applies the overload policy to one arrival. Returns the request shed to
   /// make room, if any (shed-oldest on a full queue).
-  std::optional<Request> offer(const Request& request) SEALDL_EXCLUDES(mutex_);
+  std::optional<Request> offer(const Request& request);
 
-  /// Pops the front request plus up to `max_batch - 1` further queued
-  /// requests for the same network (FIFO across the queue; non-matching
-  /// requests keep their positions). Backlogged requests then refill the
-  /// freed slots in arrival order, each stamped with `now` as its admit
-  /// cycle (the lifecycle trace's backlog/queue stage boundary). Empty
-  /// result iff the queue is empty.
-  std::vector<Request> pop_batch(int max_batch, sim::Cycle now = 0)
-      SEALDL_EXCLUDES(mutex_);
+  /// Replaces `batch` with the front request plus up to `max_batch - 1`
+  /// further queued requests for the same network (FIFO across the queue;
+  /// non-matching requests keep their positions). Backlogged requests then
+  /// refill the freed slots in arrival order, each stamped with `now` as its
+  /// admit cycle (the lifecycle trace's backlog/queue stage boundary).
+  /// `batch` is left empty iff the queue is empty; the caller owns it so its
+  /// storage is reused across dispatches.
+  void pop_batch(int max_batch, sim::Cycle now, std::vector<Request>& batch);
 
-  [[nodiscard]] bool empty() const SEALDL_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    return queue_.empty();
-  }
-  [[nodiscard]] std::size_t size() const SEALDL_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    return queue_.size();
-  }
-  /// Copy of the oldest queued request (the next dispatch anchor); queue
-  /// must be non-empty. Returned by value — a reference could dangle the
-  /// instant another thread reshapes the queue.
-  [[nodiscard]] Request front() const SEALDL_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    return queue_.front();
-  }
-  [[nodiscard]] std::size_t backlog_size() const SEALDL_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    return backlog_.size();
-  }
+  [[nodiscard]] bool empty() const { return queue_.empty(); }
+  [[nodiscard]] std::size_t size() const { return queue_.size(); }
+  /// The oldest queued request (the next dispatch anchor); the queue must
+  /// be non-empty.
+  [[nodiscard]] const Request& front() const { return queue_.front(); }
+  [[nodiscard]] std::size_t backlog_size() const { return backlog_.size(); }
 
   // Accounting (all since construction).
-  [[nodiscard]] std::uint64_t offered() const SEALDL_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    return offered_;
-  }
-  [[nodiscard]] std::uint64_t admitted() const SEALDL_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    return admitted_;
-  }
-  [[nodiscard]] std::uint64_t dropped() const SEALDL_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    return dropped_;
-  }
-  [[nodiscard]] std::uint64_t shed() const SEALDL_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    return shed_;
-  }
-  [[nodiscard]] std::uint64_t blocked() const SEALDL_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    return blocked_;
-  }
-  [[nodiscard]] std::size_t peak_backlog() const SEALDL_EXCLUDES(mutex_) {
-    util::MutexLock lock(mutex_);
-    return peak_backlog_;
-  }
+  [[nodiscard]] std::uint64_t offered() const { return offered_; }
+  [[nodiscard]] std::uint64_t admitted() const { return admitted_; }
+  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
+  [[nodiscard]] std::uint64_t shed() const { return shed_; }
+  [[nodiscard]] std::uint64_t blocked() const { return blocked_; }
+  [[nodiscard]] std::size_t peak_backlog() const { return peak_backlog_; }
 
  private:
-  void refill_from_backlog(sim::Cycle now) SEALDL_REQUIRES(mutex_);
+  void refill_from_backlog(sim::Cycle now);
 
-  mutable util::Mutex mutex_{"serve.AdmissionQueue"};
-  std::size_t depth_;        ///< immutable after construction
-  OverloadPolicy policy_;    ///< immutable after construction
-  std::deque<Request> queue_ SEALDL_GUARDED_BY(mutex_);
-  std::deque<Request> backlog_ SEALDL_GUARDED_BY(mutex_);  ///< block policy
+  std::size_t depth_;
+  OverloadPolicy policy_;
+  std::deque<Request> queue_;
+  std::deque<Request> backlog_;  ///< block policy
 
-  std::uint64_t offered_ SEALDL_GUARDED_BY(mutex_) = 0;
-  std::uint64_t admitted_ SEALDL_GUARDED_BY(mutex_) = 0;
-  std::uint64_t dropped_ SEALDL_GUARDED_BY(mutex_) = 0;
-  std::uint64_t shed_ SEALDL_GUARDED_BY(mutex_) = 0;
-  std::uint64_t blocked_ SEALDL_GUARDED_BY(mutex_) = 0;
-  std::size_t peak_backlog_ SEALDL_GUARDED_BY(mutex_) = 0;
+  std::uint64_t offered_ = 0;
+  std::uint64_t admitted_ = 0;
+  std::uint64_t dropped_ = 0;
+  std::uint64_t shed_ = 0;
+  std::uint64_t blocked_ = 0;
+  std::size_t peak_backlog_ = 0;
 };
 
 }  // namespace sealdl::serve

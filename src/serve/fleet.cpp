@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <queue>
 #include <stdexcept>
@@ -31,12 +30,12 @@ constexpr std::size_t kLatencyBuckets = 2000;
 /// scales the volume fields for per-stage records (1.0 for a whole batch);
 /// the record lands on `device`'s track.
 telemetry::LayerPhaseRecord batch_record(const ServiceModel& model,
-                                         const BatchRecord& batch,
+                                         int network, int batch_size,
                                          const std::string& name,
                                          double cycles, double start,
                                          double fraction, int device) {
-  const ServiceModel::Aggregate& aggregate = model.aggregate(batch.network);
-  const double b = static_cast<double>(batch.size) * fraction;
+  const ServiceModel::Aggregate& aggregate = model.aggregate(network);
+  const double b = static_cast<double>(batch_size) * fraction;
   telemetry::LayerPhaseRecord record;
   record.name = name;
   record.start_cycle = static_cast<sim::Cycle>(start);
@@ -118,19 +117,14 @@ FleetReport run_fleet(const ServiceModel& model, const ServeOptions& options,
   const int stages = fleet.shard_stages;
   const int pipelines = fleet.devices / stages;
 
-  const std::vector<Request> arrivals =
-      generate_requests(options, model.count(), config.core_mhz);
+  RequestStream arrivals(options, model.count(), config.core_mhz);
 
-  std::vector<std::unique_ptr<AdmissionQueue>> queues;
-  queues.reserve(static_cast<std::size_t>(pipelines));
-  for (int p = 0; p < pipelines; ++p) {
-    queues.push_back(std::make_unique<AdmissionQueue>(options.queue_depth,
-                                                      options.policy));
-  }
-  // stage_free[p][s]: when pipeline p's stage-s device next becomes free.
-  std::vector<std::vector<double>> stage_free(
+  std::vector<AdmissionQueue> queues(
       static_cast<std::size_t>(pipelines),
-      std::vector<double>(static_cast<std::size_t>(stages), 0.0));
+      AdmissionQueue(options.queue_depth, options.policy));
+  // stage_free[device_of(p, s)]: when pipeline p's stage-s device next
+  // becomes free.
+  std::vector<double> stage_free(static_cast<std::size_t>(fleet.devices), 0.0);
   // One stage plan per served network, shared by every pipeline.
   std::vector<ServiceModel::StagePlan> plans;
   plans.reserve(static_cast<std::size_t>(model.count()));
@@ -165,7 +159,6 @@ FleetReport run_fleet(const ServiceModel& model, const ServeOptions& options,
     return pipeline * stages + stage;
   };
   ServeReport& report = fleet_report.totals;
-  report.generated = arrivals.size();
 
   const bool tracing = collect != nullptr;
   // Lifecycle record for a request that never reached a dispatch.
@@ -195,9 +188,8 @@ FleetReport run_fleet(const ServiceModel& model, const ServeOptions& options,
         int best = 0;
         std::size_t best_load = ~std::size_t{0};
         for (int p = 0; p < pipelines; ++p) {
-          const std::size_t load =
-              queues[static_cast<std::size_t>(p)]->size() +
-              queues[static_cast<std::size_t>(p)]->backlog_size();
+          const AdmissionQueue& queue = queues[static_cast<std::size_t>(p)];
+          const std::size_t load = queue.size() + queue.backlog_size();
           if (load < best_load) {
             best_load = load;
             best = p;
@@ -220,7 +212,7 @@ FleetReport run_fleet(const ServiceModel& model, const ServeOptions& options,
   // their lifecycle at the offer instant (the newcomer's arrival).
   const auto offer_tracked = [&](const Request& request) {
     const int pipeline = route(request);
-    AdmissionQueue& queue = *queues[static_cast<std::size_t>(pipeline)];
+    AdmissionQueue& queue = queues[static_cast<std::size_t>(pipeline)];
     fleet_report.device_reports[static_cast<std::size_t>(device_of(pipeline, 0))]
         .routed++;
     const std::uint64_t dropped_before = tracing ? queue.dropped() : 0;
@@ -259,12 +251,12 @@ FleetReport run_fleet(const ServiceModel& model, const ServeOptions& options,
       finish_events.pop();
     }
     std::uint64_t dropped = 0, shed = 0, blocked = 0, queued = 0, backlog = 0;
-    for (const auto& queue : queues) {
-      dropped += queue->dropped();
-      shed += queue->shed();
-      blocked += queue->blocked();
-      queued += queue->size();
-      backlog += queue->backlog_size();
+    for (const AdmissionQueue& queue : queues) {
+      dropped += queue.dropped();
+      shed += queue.shed();
+      blocked += queue.blocked();
+      queued += queue.size();
+      backlog += queue.backlog_size();
     }
     util::JsonWriter json;
     json.begin_object();
@@ -279,8 +271,8 @@ FleetReport run_fleet(const ServiceModel& model, const ServeOptions& options,
     json.field("backlog", backlog);
     if (pipelines > 1) {
       json.key("queued_by_pipeline").begin_array();
-      for (const auto& queue : queues) {
-        json.value(static_cast<std::uint64_t>(queue->size()));
+      for (const AdmissionQueue& queue : queues) {
+        json.value(static_cast<std::uint64_t>(queue.size()));
       }
       json.end_array();
     }
@@ -296,10 +288,17 @@ FleetReport run_fleet(const ServiceModel& model, const ServeOptions& options,
     }
   };
 
+  // Per-dispatch scratch, owned by the run so a dispatch allocates nothing
+  // once the buffers have grown to the largest batch.
+  std::vector<Request> batch;
+  std::vector<int> micro_sizes;
+  std::vector<double> micro_completion;
+  std::vector<double> stage_first_start(static_cast<std::size_t>(stages));
+  std::vector<double> stage_busy(static_cast<std::size_t>(stages));
+
   const auto dispatch = [&](int pipeline, double start) {
-    AdmissionQueue& queue = *queues[static_cast<std::size_t>(pipeline)];
-    const std::vector<Request> batch =
-        queue.pop_batch(options.max_batch, static_cast<sim::Cycle>(start));
+    queues[static_cast<std::size_t>(pipeline)].pop_batch(
+        options.max_batch, static_cast<sim::Cycle>(start), batch);
     const int network = batch.front().network;
     const ServiceModel::StagePlan& plan =
         plans[static_cast<std::size_t>(network)];
@@ -319,15 +318,12 @@ FleetReport run_fleet(const ServiceModel& model, const ServeOptions& options,
     // The per-device free timeline carries over between batches, so a new
     // batch's early stages overlap the previous batch's late stages.
     const double anchor = start + options.dispatch_overhead_cycles;
-    std::vector<int> micro_sizes(static_cast<std::size_t>(micro),
-                                 batch_size / micro);
+    micro_sizes.assign(static_cast<std::size_t>(micro), batch_size / micro);
     for (int m = 0; m < batch_size % micro; ++m) {
       micro_sizes[static_cast<std::size_t>(m)]++;
     }
-    std::vector<double> stage_first_start(static_cast<std::size_t>(stages),
-                                          0.0);
-    std::vector<double> stage_busy(static_cast<std::size_t>(stages), 0.0);
-    std::vector<double> micro_completion(static_cast<std::size_t>(micro), 0.0);
+    std::fill(stage_busy.begin(), stage_busy.end(), 0.0);
+    micro_completion.assign(static_cast<std::size_t>(micro), 0.0);
     for (int m = 0; m < micro; ++m) {
       const int b = micro_sizes[static_cast<std::size_t>(m)];
       double prev_finish = 0.0;
@@ -343,16 +339,15 @@ FleetReport run_fleet(const ServiceModel& model, const ServeOptions& options,
           ready = prev_finish + fleet.link_latency_cycles +
                   boundary_bytes / fleet.link_bytes_per_cycle;
         }
-        double& free_at = stage_free[static_cast<std::size_t>(pipeline)]
-                                    [static_cast<std::size_t>(s)];
+        const int device = device_of(pipeline, s);
+        double& free_at = stage_free[static_cast<std::size_t>(device)];
         const double stage_start = std::max(free_at, ready);
         const double stage_finish = stage_start + cycles;
         free_at = stage_finish;
         if (m == 0) stage_first_start[static_cast<std::size_t>(s)] = stage_start;
         stage_busy[static_cast<std::size_t>(s)] += cycles;
         DeviceReport& dev =
-            fleet_report.device_reports[static_cast<std::size_t>(
-                device_of(pipeline, s))];
+            fleet_report.device_reports[static_cast<std::size_t>(device)];
         dev.stage_runs++;
         dev.busy_cycles += cycles;
         dev.last_free = std::max(dev.last_free, stage_finish);
@@ -427,27 +422,21 @@ FleetReport run_fleet(const ServiceModel& model, const ServeOptions& options,
     fleet_report.device_reports[static_cast<std::size_t>(anchor_device)]
         .completed += batch.size();
 
-    BatchRecord record;
-    record.network = network;
-    record.size = batch_size;
-    record.start = static_cast<sim::Cycle>(start);
-    record.cycles = completion - start;
-    record.device = anchor_device;
-    report.batch_log.push_back(record);
-    if (collect) {
+    if (tracing) {
       const std::string base =
           "serve/" + model.name(network) + "x" + std::to_string(batch_size);
       if (stages == 1) {
-        collect->layers().push_back(batch_record(
-            model, record, base, record.cycles, start, 1.0, anchor_device));
+        collect->layers().push_back(batch_record(model, network, batch_size,
+                                                 base, completion - start,
+                                                 start, 1.0, anchor_device));
       } else {
         double busy_total = 0.0;
         for (const double busy : stage_busy) busy_total += busy;
         for (int s = 0; s < stages; ++s) {
           const double busy = stage_busy[static_cast<std::size_t>(s)];
           collect->layers().push_back(batch_record(
-              model, record, base + "/s" + std::to_string(s), busy,
-              stage_first_start[static_cast<std::size_t>(s)],
+              model, network, batch_size, base + "/s" + std::to_string(s),
+              busy, stage_first_start[static_cast<std::size_t>(s)],
               busy_total > 0.0 ? busy / busy_total : 0.0,
               device_of(pipeline, s)));
         }
@@ -463,30 +452,31 @@ FleetReport run_fleet(const ServiceModel& model, const ServeOptions& options,
   // request at or before a dispatch instant is offered first (shedding may
   // replace the front and push the dispatch later). Event times never
   // decrease, which is what makes the boundary-crossing live-stats snapshot
-  // well defined.
-  std::size_t next = 0;
+  // well defined. Arrivals are pulled from the stream as they are offered,
+  // so the loop holds only queued requests.
   for (;;) {
     int best_pipeline = -1;
     double best_start = 0.0;
     for (int p = 0; p < pipelines; ++p) {
-      AdmissionQueue& queue = *queues[static_cast<std::size_t>(p)];
+      const AdmissionQueue& queue = queues[static_cast<std::size_t>(p)];
       if (queue.empty()) continue;
       const double start =
-          std::max(stage_free[static_cast<std::size_t>(p)][0],
+          std::max(stage_free[static_cast<std::size_t>(device_of(p, 0))],
                    static_cast<double>(queue.front().arrival));
       if (best_pipeline < 0 || start < best_start) {
         best_pipeline = p;
         best_start = start;
       }
     }
-    const bool has_arrival = next < arrivals.size();
+    const bool has_arrival = !arrivals.done();
     if (!has_arrival && best_pipeline < 0) break;
     if (has_arrival &&
         (best_pipeline < 0 ||
-         static_cast<double>(arrivals[next].arrival) <= best_start)) {
-      flush_before(static_cast<double>(arrivals[next].arrival));
-      offer_tracked(arrivals[next]);
-      ++next;
+         static_cast<double>(arrivals.front().arrival) <= best_start)) {
+      flush_before(static_cast<double>(arrivals.front().arrival));
+      offer_tracked(arrivals.front());
+      ++report.generated;
+      arrivals.pop();
       continue;
     }
     flush_before(best_start);
@@ -498,16 +488,14 @@ FleetReport run_fleet(const ServiceModel& model, const ServeOptions& options,
     next_emit += live_interval_cycles;
   }
 
-  for (const auto& queue : queues) {
-    report.dropped += queue->dropped();
-    report.shed += queue->shed();
-    report.blocked += queue->blocked();
-    report.peak_backlog = std::max(report.peak_backlog, queue->peak_backlog());
-  }
   for (int p = 0; p < pipelines; ++p) {
+    const AdmissionQueue& queue = queues[static_cast<std::size_t>(p)];
+    report.dropped += queue.dropped();
+    report.shed += queue.shed();
+    report.blocked += queue.blocked();
+    report.peak_backlog = std::max(report.peak_backlog, queue.peak_backlog());
     DeviceReport& dev = fleet_report.device_reports[static_cast<std::size_t>(
         device_of(p, 0))];
-    const AdmissionQueue& queue = *queues[static_cast<std::size_t>(p)];
     dev.dropped = queue.dropped();
     dev.shed = queue.shed();
     dev.blocked = queue.blocked();

@@ -4,43 +4,41 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "util/rng.hpp"
-
 namespace sealdl::serve {
 
-std::vector<Request> generate_requests(const ServeOptions& options,
-                                       int num_networks, double core_mhz) {
+RequestStream::RequestStream(const ServeOptions& options, int num_networks,
+                             double core_mhz)
+    : rng_(options.seed),
+      // Sessions come from their own stream: the gap/network draws are the
+      // ones every committed artifact depends on, and interleaving a third
+      // draw would silently reshuffle all of them.
+      session_rng_(options.seed ^ 0xA5A5F00DD00FA5A5ULL) {
   if (num_networks <= 0) throw std::invalid_argument("no networks to serve");
   if (options.rate_rps <= 0.0) {
     throw std::invalid_argument("--rate must be > 0");
   }
   const double cycles_per_second = core_mhz * 1e6;
-  const double mean_gap_cycles = cycles_per_second / options.rate_rps;
-  const double horizon = options.duration_s * cycles_per_second;
+  num_networks_ = static_cast<std::uint64_t>(num_networks);
+  mean_gap_cycles_ = cycles_per_second / options.rate_rps;
+  horizon_ = options.duration_s * cycles_per_second;
+  pop();  // draws the first arrival
+}
 
-  util::Rng rng(options.seed);
-  // Sessions come from their own stream: the gap/network draws above are the
-  // ones every committed artifact depends on, and interleaving a third draw
-  // would silently reshuffle all of them.
-  util::Rng session_rng(options.seed ^ 0xA5A5F00DD00FA5A5ULL);
-  std::vector<Request> requests;
-  double clock = 0.0;
-  for (;;) {
-    // Exponential gap; 1 - u keeps log() away from 0. At least one cycle so
-    // ids and arrival order stay aligned even at absurd rates.
-    const double u = rng.next_double();
-    clock += std::max(1.0, -std::log(1.0 - u) * mean_gap_cycles);
-    if (clock >= horizon) break;
-    Request request;
-    request.id = static_cast<std::uint64_t>(requests.size());
-    request.network =
-        static_cast<int>(rng.next_below(static_cast<std::uint64_t>(num_networks)));
-    request.session =
-        static_cast<std::uint32_t>(session_rng.next_below(1ULL << 16));
-    request.arrival = static_cast<sim::Cycle>(clock);
-    requests.push_back(request);
+void RequestStream::pop() {
+  if (done_) return;
+  // Exponential gap; 1 - u keeps log() away from 0. At least one cycle so
+  // ids and arrival order stay aligned even at absurd rates.
+  const double u = rng_.next_double();
+  clock_ += std::max(1.0, -std::log(1.0 - u) * mean_gap_cycles_);
+  if (clock_ >= horizon_) {
+    done_ = true;
+    return;
   }
-  return requests;
+  next_ = Request{};
+  next_.id = drawn_++;
+  next_.network = static_cast<int>(rng_.next_below(num_networks_));
+  next_.session = static_cast<std::uint32_t>(session_rng_.next_below(1ULL << 16));
+  next_.arrival = static_cast<sim::Cycle>(clock_);
 }
 
 }  // namespace sealdl::serve

@@ -1,18 +1,21 @@
-// Seeded open-loop request generator.
+// Seeded open-loop request stream.
 //
-// Produces the full arrival schedule up front: a Poisson-like process whose
-// exponential inter-arrival gaps and per-request network choices are drawn
-// from one util::Rng stream. Pre-generating (rather than drawing inside the
-// serving loop) means the offered load is identical across queue depths,
-// policies, and --jobs values — only the serving behaviour differs, which is
-// what the determinism gate compares.
+// Yields the arrival schedule one request at a time, in arrival order: a
+// Poisson-like process whose exponential inter-arrival gaps and per-request
+// network choices are drawn from one util::Rng stream. The draws depend only
+// on (seed, rate, duration, network count, clock) and never on what the
+// serving loop does with a request, so the offered load is identical across
+// queue depths, policies, routers and --jobs values — only the serving
+// behaviour differs, which is what the determinism gate compares. Pulling
+// arrivals lazily keeps a serving run's memory proportional to its queues,
+// not to the number of requests it offers.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "serve/options.hpp"
 #include "sim/request.hpp"
+#include "util/rng.hpp"
 
 namespace sealdl::serve {
 
@@ -32,10 +35,31 @@ struct Request {
   sim::Cycle admit = 0;
 };
 
-/// Generates all arrivals in [0, duration_s) at `core_mhz` cycles per
-/// microsecond. Requests are returned in arrival order; network indices are
-/// uniform over [0, num_networks).
-std::vector<Request> generate_requests(const ServeOptions& options,
-                                       int num_networks, double core_mhz);
+/// The arrivals in [0, duration_s) at `core_mhz` cycles per microsecond.
+/// front() is the next arrival until done(); pop() draws the one after it.
+/// Network indices are uniform over [0, num_networks).
+class RequestStream {
+ public:
+  /// Throws std::invalid_argument for no networks or a non-positive rate.
+  RequestStream(const ServeOptions& options, int num_networks,
+                double core_mhz);
+
+  [[nodiscard]] bool done() const { return done_; }
+  /// The next arrival; the stream must not be done().
+  [[nodiscard]] const Request& front() const { return next_; }
+  /// Draws the arrival after front(); a no-op once done().
+  void pop();
+
+ private:
+  util::Rng rng_;
+  util::Rng session_rng_;
+  std::uint64_t num_networks_ = 0;
+  double mean_gap_cycles_ = 0.0;
+  double horizon_ = 0.0;
+  double clock_ = 0.0;
+  std::uint64_t drawn_ = 0;
+  bool done_ = false;
+  Request next_;
+};
 
 }  // namespace sealdl::serve

@@ -1,7 +1,7 @@
 // Deterministic batched-inference serving loop.
 //
 // Single-threaded discrete-event simulation over two event sources: the
-// pre-generated arrival schedule and device completions. The device serves
+// seeded arrival stream and device completions. The device serves
 // one batch at a time; at each dispatch the scheduler groups up to
 // --batch queued requests for the front request's network (FIFO otherwise)
 // and charges the ServiceModel's batch-B latency plus a fixed dispatch
@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "serve/options.hpp"
 #include "serve/request_gen.hpp"
@@ -28,14 +27,6 @@
 #include "telemetry/telemetry.hpp"
 
 namespace sealdl::serve {
-
-struct BatchRecord {
-  int network = 0;
-  int size = 0;
-  sim::Cycle start = 0;      ///< dispatch cycle
-  double cycles = 0.0;       ///< dispatch-to-completion time incl. overhead
-  int device = 0;            ///< global device index of the anchoring stage-0
-};
 
 /// Percentiles of one lifecycle stage's latency over completed requests.
 struct StageLatency {
@@ -75,8 +66,6 @@ struct ServeReport {
   StageLatency stage_execute;
   double stage_cycles_sum = 0.0;    ///< sum of all stage cycles, completed reqs
   double latency_cycles_sum = 0.0;  ///< sum of end-to-end latency cycles
-
-  std::vector<BatchRecord> batch_log;
 };
 
 /// Receives one NDJSON progress line per live-stats interval (simulated

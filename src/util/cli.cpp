@@ -108,6 +108,16 @@ std::vector<std::string> CliFlags::queried() const {
   return out;
 }
 
+void CliFlags::reject_unknown() const {
+  const std::vector<std::string> unknown = unused();
+  if (unknown.empty()) return;
+  std::string message = "unknown flag";
+  for (const std::string& name : unknown) message += " --" + name;
+  message += " (accepted:";
+  for (const std::string& name : queried()) message += " --" + name;
+  throw std::invalid_argument(message + ")");
+}
+
 std::vector<std::string> split_csv(const std::string& csv) {
   std::vector<std::string> items;
   std::stringstream stream(csv);

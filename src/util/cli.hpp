@@ -43,6 +43,12 @@ class CliFlags {
   /// Names of every flag queried so far, supplied or not, in sorted order.
   [[nodiscard]] std::vector<std::string> queried() const;
 
+  /// Throws std::invalid_argument naming every unused() flag and listing the
+  /// queried() ones, so a typo such as `--tile 40` or a `--help` fails
+  /// instead of running with defaults. Call it once every flag has been
+  /// read; the tools turn the throw into exit code 2.
+  void reject_unknown() const;
+
  private:
   std::map<std::string, std::string> flags_;
   mutable std::map<std::string, bool> queried_;

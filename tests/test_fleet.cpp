@@ -52,6 +52,17 @@ ServeOptions busy_load() {
   return options;
 }
 
+/// The serving loop's batch phase records (serve/<net>x<B>, and one
+/// /s<i> record per stage when sharded), in dispatch order.
+std::vector<telemetry::LayerPhaseRecord> batch_records(
+    const telemetry::RunTelemetry& collect) {
+  std::vector<telemetry::LayerPhaseRecord> records;
+  for (const telemetry::LayerPhaseRecord& record : collect.layers()) {
+    if (record.name.rfind("serve/", 0) == 0) records.push_back(record);
+  }
+  return records;
+}
+
 FleetOptions fleet_of(int devices, RouterPolicy router = RouterPolicy::kRoundRobin,
                       int stages = 1) {
   FleetOptions fleet;
@@ -104,17 +115,23 @@ TEST(Fleet, SingleDeviceFleetMatchesRunServer) {
   const sim::GpuConfig config = sim::GpuConfig::gtx480();
   const ServiceModel model({net}, config, fast_options(), 4, 1, nullptr);
   const ServeOptions options = busy_load();
-  const ServeReport single = run_server(model, options, config, nullptr);
+  telemetry::RunTelemetry single_collect;
+  telemetry::RunTelemetry fleet_collect;
+  const ServeReport single =
+      run_server(model, options, config, &single_collect);
   const FleetReport fleet =
-      run_fleet(model, options, fleet_of(1), config, nullptr);
+      run_fleet(model, options, fleet_of(1), config, &fleet_collect);
   EXPECT_EQ(single.completed, fleet.totals.completed);
   EXPECT_EQ(single.end_cycle, fleet.totals.end_cycle);
   EXPECT_EQ(single.p99_ms, fleet.totals.p99_ms);
   EXPECT_EQ(single.throughput_rps, fleet.totals.throughput_rps);
-  ASSERT_EQ(single.batch_log.size(), fleet.totals.batch_log.size());
-  for (std::size_t i = 0; i < single.batch_log.size(); ++i) {
-    EXPECT_EQ(single.batch_log[i].start, fleet.totals.batch_log[i].start);
-    EXPECT_EQ(single.batch_log[i].cycles, fleet.totals.batch_log[i].cycles);
+  const auto single_batches = batch_records(single_collect);
+  const auto fleet_batches = batch_records(fleet_collect);
+  ASSERT_EQ(single_batches.size(), single.batches);
+  ASSERT_EQ(single_batches.size(), fleet_batches.size());
+  for (std::size_t i = 0; i < single_batches.size(); ++i) {
+    EXPECT_EQ(single_batches[i].start_cycle, fleet_batches[i].start_cycle);
+    EXPECT_EQ(single_batches[i].full_cycles, fleet_batches[i].full_cycles);
   }
 }
 
@@ -160,10 +177,10 @@ TEST(Fleet, AffinityPinsSessionsToPipelines) {
   // Per-request sessions are drawn from an independent seeded stream; verify
   // the router keys on them: every request of session s lands on pipeline
   // s % P, so per-device routed counts must match a direct recount.
-  const auto arrivals = generate_requests(options, model.count(), config.core_mhz);
   std::uint64_t expect0 = 0, expect1 = 0;
-  for (const Request& request : arrivals) {
-    (request.session % 2 == 0 ? expect0 : expect1)++;
+  for (RequestStream arrivals(options, model.count(), config.core_mhz);
+       !arrivals.done(); arrivals.pop()) {
+    (arrivals.front().session % 2 == 0 ? expect0 : expect1)++;
   }
   const FleetReport report = run_fleet(
       model, options, fleet_of(2, RouterPolicy::kAffinity), config, nullptr);
@@ -239,8 +256,10 @@ TEST(Fleet, ReplaysBitIdenticallyAndRejectsBadShapes) {
   const ServiceModel model({net}, config, fast_options(), 4, 1, nullptr);
   const ServeOptions options = busy_load();
   const FleetOptions fleet = fleet_of(4, RouterPolicy::kLeastLoaded, 2);
-  const FleetReport a = run_fleet(model, options, fleet, config, nullptr);
-  const FleetReport b = run_fleet(model, options, fleet, config, nullptr);
+  telemetry::RunTelemetry collect_a;
+  telemetry::RunTelemetry collect_b;
+  const FleetReport a = run_fleet(model, options, fleet, config, &collect_a);
+  const FleetReport b = run_fleet(model, options, fleet, config, &collect_b);
   EXPECT_EQ(a.totals.end_cycle, b.totals.end_cycle);
   EXPECT_EQ(a.totals.p99_ms, b.totals.p99_ms);
   ASSERT_EQ(a.device_reports.size(), b.device_reports.size());
@@ -249,10 +268,16 @@ TEST(Fleet, ReplaysBitIdenticallyAndRejectsBadShapes) {
     EXPECT_EQ(a.device_reports[i].stage_runs, b.device_reports[i].stage_runs);
     EXPECT_EQ(a.device_reports[i].busy_cycles, b.device_reports[i].busy_cycles);
   }
-  ASSERT_EQ(a.totals.batch_log.size(), b.totals.batch_log.size());
-  for (std::size_t i = 0; i < a.totals.batch_log.size(); ++i) {
-    EXPECT_EQ(a.totals.batch_log[i].start, b.totals.batch_log[i].start);
-    EXPECT_EQ(a.totals.batch_log[i].device, b.totals.batch_log[i].device);
+  // Two stage records per batch, each on its stage's device track.
+  const auto batches_a = batch_records(collect_a);
+  const auto batches_b = batch_records(collect_b);
+  ASSERT_EQ(batches_a.size(), 2 * a.totals.batches);
+  ASSERT_EQ(batches_a.size(), batches_b.size());
+  for (std::size_t i = 0; i < batches_a.size(); ++i) {
+    EXPECT_EQ(batches_a[i].name, batches_b[i].name);
+    EXPECT_EQ(batches_a[i].start_cycle, batches_b[i].start_cycle);
+    EXPECT_EQ(batches_a[i].full_cycles, batches_b[i].full_cycles);
+    EXPECT_EQ(batches_a[i].device, batches_b[i].device);
   }
 
   EXPECT_THROW(

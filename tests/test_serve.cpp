@@ -3,9 +3,11 @@
 // accounting, and static validation of ServeOptions (serve.options.*).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "serve/server.hpp"
 #include "sim/scheme_registry.hpp"
 #include "telemetry/report.hpp"
+#include "util/rng.hpp"
 #include "verify/serve_checkers.hpp"
 #include "workload/batch_model.hpp"
 
@@ -62,15 +65,106 @@ Request make_request(std::uint64_t id, int network, sim::Cycle arrival) {
   return request;
 }
 
+/// Every arrival a fresh stream yields, in order.
+std::vector<Request> drain(const ServeOptions& options, int networks,
+                           double core_mhz) {
+  std::vector<Request> requests;
+  for (RequestStream stream(options, networks, core_mhz); !stream.done();
+       stream.pop()) {
+    requests.push_back(stream.front());
+  }
+  return requests;
+}
+
+/// The serving loop's batch phase records (serve/<net>x<B>, one per
+/// dispatch of an unsharded run), in dispatch order.
+std::vector<telemetry::LayerPhaseRecord> batch_records(
+    const telemetry::RunTelemetry& collect) {
+  std::vector<telemetry::LayerPhaseRecord> records;
+  for (const telemetry::LayerPhaseRecord& record : collect.layers()) {
+    if (record.name.rfind("serve/", 0) == 0) records.push_back(record);
+  }
+  return records;
+}
+
 // ------------------------------------------------------------ request gen ---
+
+/// The schedule as it was built before arrivals were streamed: the whole
+/// vector up front, with the same draws in the same order. Kept here as the
+/// reference the stream must reproduce exactly.
+std::vector<Request> materialized_schedule(const ServeOptions& options,
+                                           int num_networks, double core_mhz) {
+  const double cycles_per_second = core_mhz * 1e6;
+  const double mean_gap_cycles = cycles_per_second / options.rate_rps;
+  const double horizon = options.duration_s * cycles_per_second;
+  util::Rng rng(options.seed);
+  util::Rng session_rng(options.seed ^ 0xA5A5F00DD00FA5A5ULL);
+  std::vector<Request> requests;
+  double clock = 0.0;
+  for (;;) {
+    const double u = rng.next_double();
+    clock += std::max(1.0, -std::log(1.0 - u) * mean_gap_cycles);
+    if (clock >= horizon) break;
+    Request request;
+    request.id = static_cast<std::uint64_t>(requests.size());
+    request.network = static_cast<int>(
+        rng.next_below(static_cast<std::uint64_t>(num_networks)));
+    request.session =
+        static_cast<std::uint32_t>(session_rng.next_below(1ULL << 16));
+    request.arrival = static_cast<sim::Cycle>(clock);
+    requests.push_back(request);
+  }
+  return requests;
+}
+
+TEST(RequestGen, StreamMatchesMaterializedSchedule) {
+  struct Load {
+    double rate_rps;
+    double duration_s;
+  };
+  // From a trickle to the one-cycle gap floor (1e9 req/s at 700 MHz).
+  const Load loads[] = {{5.0, 2.0}, {200.0, 0.3}, {3000.0, 0.05},
+                        {1e9, 2e-6}};
+  std::size_t compared = 0;
+  for (const std::uint64_t seed : {1ULL, 7ULL, 42ULL, 0xDEADBEEFULL}) {
+    for (const Load& load : loads) {
+      for (const int networks : {1, 2, 3}) {
+        ServeOptions options;
+        options.seed = seed;
+        options.rate_rps = load.rate_rps;
+        options.duration_s = load.duration_s;
+        const auto want = materialized_schedule(options, networks, 700.0);
+        const auto got = drain(options, networks, 700.0);
+        ASSERT_EQ(got.size(), want.size())
+            << "seed " << seed << " rate " << load.rate_rps;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].id, want[i].id);
+          EXPECT_EQ(got[i].network, want[i].network);
+          EXPECT_EQ(got[i].session, want[i].session);
+          EXPECT_EQ(got[i].arrival, want[i].arrival);
+          EXPECT_EQ(got[i].admit, want[i].admit);
+        }
+        compared += want.size();
+      }
+    }
+  }
+  EXPECT_GT(compared, 1000u);
+}
+
+TEST(RequestGen, RejectsNoNetworksAndNonPositiveRates) {
+  ServeOptions options;
+  EXPECT_THROW(RequestStream(options, 0, 700.0), std::invalid_argument);
+  options.rate_rps = 0.0;
+  EXPECT_THROW(RequestStream(options, 1, 700.0), std::invalid_argument);
+}
 
 TEST(RequestGen, DeterministicAndOrdered) {
   ServeOptions options;
   options.rate_rps = 1000.0;
   options.duration_s = 0.1;
   options.seed = 42;
-  const auto a = generate_requests(options, 3, 700.0);
-  const auto b = generate_requests(options, 3, 700.0);
+  const auto a = drain(options, 3, 700.0);
+  const auto b = drain(options, 3, 700.0);
   ASSERT_FALSE(a.empty());
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -90,7 +184,7 @@ TEST(RequestGen, MeanRateMatchesOffered) {
   options.rate_rps = 500.0;
   options.duration_s = 1.0;
   options.seed = 7;
-  const auto requests = generate_requests(options, 1, 700.0);
+  const auto requests = drain(options, 1, 700.0);
   // Poisson count over a long window: ~500 +- a few sigma (sqrt(500)~22).
   EXPECT_NEAR(static_cast<double>(requests.size()), 500.0, 100.0);
 }
@@ -100,9 +194,9 @@ TEST(RequestGen, DifferentSeedsDiverge) {
   options.rate_rps = 1000.0;
   options.duration_s = 0.05;
   options.seed = 1;
-  const auto a = generate_requests(options, 2, 700.0);
+  const auto a = drain(options, 2, 700.0);
   options.seed = 2;
-  const auto b = generate_requests(options, 2, 700.0);
+  const auto b = drain(options, 2, 700.0);
   ASSERT_FALSE(a.empty());
   ASSERT_FALSE(b.empty());
   EXPECT_TRUE(a.size() != b.size() || a.front().arrival != b.front().arrival);
@@ -145,13 +239,15 @@ TEST(AdmissionQueue, BlockPolicyBacklogsAndRefills) {
   EXPECT_EQ(queue.peak_backlog(), 2u);
 
   // Dispatch frees both slots; the backlog refills in arrival order.
-  const auto batch = queue.pop_batch(2);
+  std::vector<Request> batch;
+  queue.pop_batch(2, 20, batch);
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0].id, 0u);
   EXPECT_EQ(batch[1].id, 1u);
   EXPECT_EQ(queue.size(), 2u);
   EXPECT_EQ(queue.backlog_size(), 0u);
   EXPECT_EQ(queue.front().id, 2u);
+  EXPECT_EQ(queue.front().admit, 20u);  // stamped at the refill instant
   EXPECT_EQ(queue.admitted(), 4u);
 }
 
@@ -178,13 +274,21 @@ TEST(AdmissionQueue, PopBatchGroupsByNetworkPreservingOthers) {
   queue.offer(make_request(2, 0, 3));
   queue.offer(make_request(3, 1, 4));
   queue.offer(make_request(4, 0, 5));
-  const auto batch = queue.pop_batch(2);  // front network 0, cap 2
+  // The caller's buffer is replaced, not appended to.
+  std::vector<Request> batch = {make_request(99, 1, 0)};
+  queue.pop_batch(2, 6, batch);  // front network 0, cap 2
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0].id, 0u);
   EXPECT_EQ(batch[1].id, 2u);
   // Remaining queue keeps FIFO order: 1, 3, 4.
   EXPECT_EQ(queue.size(), 3u);
   EXPECT_EQ(queue.front().id, 1u);
+  // Draining empties the buffer too.
+  queue.pop_batch(8, 7, batch);
+  queue.pop_batch(8, 8, batch);
+  EXPECT_TRUE(queue.empty());
+  queue.pop_batch(8, 9, batch);
+  EXPECT_TRUE(batch.empty());
 }
 
 // ------------------------------------------------------------ batch model ---
@@ -342,18 +446,26 @@ TEST(Server, ReplaysBitIdentically) {
   const ServiceModel model(nets, config, fast_options(), 4, 1, nullptr);
   ServeOptions options = low_load();
   options.policy = OverloadPolicy::kShedOldest;
-  const ServeReport a = run_server(model, options, config, nullptr);
-  const ServeReport b = run_server(model, options, config, nullptr);
+  telemetry::RunTelemetry collect_a;
+  telemetry::RunTelemetry collect_b;
+  const ServeReport a = run_server(model, options, config, &collect_a);
+  const ServeReport b = run_server(model, options, config, &collect_b);
   EXPECT_EQ(a.generated, b.generated);
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.end_cycle, b.end_cycle);
   EXPECT_EQ(a.p99_ms, b.p99_ms);
-  ASSERT_EQ(a.batch_log.size(), b.batch_log.size());
-  for (std::size_t i = 0; i < a.batch_log.size(); ++i) {
-    EXPECT_EQ(a.batch_log[i].start, b.batch_log[i].start);
-    EXPECT_EQ(a.batch_log[i].size, b.batch_log[i].size);
-    EXPECT_EQ(a.batch_log[i].network, b.batch_log[i].network);
-    EXPECT_EQ(a.batch_log[i].cycles, b.batch_log[i].cycles);
+  // The batch timeline: serve/<net>x<B> names the network and batch size,
+  // start_cycle the dispatch cycle, full_cycles the exact
+  // dispatch-to-completion time.
+  const auto batches_a = batch_records(collect_a);
+  const auto batches_b = batch_records(collect_b);
+  ASSERT_EQ(batches_a.size(), a.batches);
+  ASSERT_EQ(batches_a.size(), batches_b.size());
+  for (std::size_t i = 0; i < batches_a.size(); ++i) {
+    EXPECT_EQ(batches_a[i].name, batches_b[i].name);
+    EXPECT_EQ(batches_a[i].start_cycle, batches_b[i].start_cycle);
+    EXPECT_EQ(batches_a[i].full_cycles, batches_b[i].full_cycles);
+    EXPECT_EQ(batches_a[i].device, batches_b[i].device);
   }
 }
 
@@ -374,8 +486,7 @@ TEST(Server, TelemetryCarriesServingMetricsAndBatchSpans) {
   EXPECT_DOUBLE_EQ(latency->percentile(50.0), report.p50_ms);
 
   // One phase record per profile layer plus one per dispatched batch.
-  EXPECT_EQ(collect.layers().size(),
-            net.specs.size() + report.batch_log.size());
+  EXPECT_EQ(collect.layers().size(), net.specs.size() + report.batches);
   std::uint64_t spans = 0;
   for (const auto& record : collect.layers()) {
     if (record.name.rfind("serve/", 0) == 0) ++spans;
@@ -430,10 +541,13 @@ TEST(Server, LiveStatsLinesSnapshotStateAtBoundaryCrossings) {
   options.live_stats = true;
   options.live_stats_interval_s = 0.002;
   std::vector<std::string> lines;
+  telemetry::RunTelemetry collect;
   const ServeReport report = run_server(
-      model, options, config, nullptr,
+      model, options, config, &collect,
       [&lines](const std::string& line) { lines.push_back(line); });
   ASSERT_GT(report.batches, 0u);
+  const auto batches = batch_records(collect);
+  ASSERT_EQ(batches.size(), report.batches);
   ASSERT_FALSE(lines.empty());
 
   const double interval_cycles =
@@ -459,9 +573,11 @@ TEST(Server, LiveStatsLinesSnapshotStateAtBoundaryCrossings) {
     // The completed count is precisely the number of requests whose batch
     // finished at or before the boundary — never credit from the future.
     std::uint64_t done = 0;
-    for (const BatchRecord& batch : report.batch_log) {
-      if (static_cast<double>(batch.start) + batch.cycles <= boundary) {
-        done += static_cast<std::uint64_t>(batch.size);
+    for (const telemetry::LayerPhaseRecord& batch : batches) {
+      if (static_cast<double>(batch.start_cycle) + batch.full_cycles <=
+          boundary) {
+        // serve/tinyx<B>: the batch size follows the last 'x'.
+        done += std::stoull(batch.name.substr(batch.name.rfind('x') + 1));
       }
     }
     EXPECT_EQ(static_cast<std::uint64_t>(field(lines[i], "completed")), done)

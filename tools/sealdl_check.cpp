@@ -160,11 +160,7 @@ int main(int argc, char** argv) {
     const std::string json_path = flags.get("json", "");
     const bool strict = flags.get_bool("strict", false);
 
-    const auto unused = flags.unused();
-    if (!unused.empty()) {
-      std::fprintf(stderr, "unknown flag --%s\n", unused.front().c_str());
-      return 2;
-    }
+    flags.reject_unknown();
 
     const std::vector<models::LayerSpec> specs =
         models::network_specs(workload, input_hw);

@@ -38,8 +38,9 @@
 // in sealdl-sim --scheme-audit: profiling is the same jobs-invariant
 // run_network call.
 //
-// Exit codes: 0 success, 1 runtime error, 2 usage error or invalid serving
-// configuration — the config is statically validated up front
+// Exit codes: 0 success, 1 runtime error, 2 usage error (an unknown flag, a
+// malformed number, an unknown name) or invalid serving configuration — the
+// config is statically validated up front
 // (verify/serve_checkers.hpp, rule family serve.options.*) and violations
 // print with their rule ids rather than asserting deep inside the scheduler.
 #include <cstdint>
@@ -126,13 +127,21 @@ int run(int argc, char** argv) {
   if (!inject.empty()) {
     (void)verify::select_injections(verify::InjectTool::kServe, inject);
   }
+  const std::string policy_flag = flags.get("policy", "drop");
+  const std::string router_flag = flags.get("router", "round-robin");
+  // With --inject, --json names the injection ledger, not the run report.
+  const std::string json_path = flags.get("json", "");
+  const std::string report_path = inject.empty() ? json_path : "";
+  const std::string trace_path = flags.get("trace", "");
+  const sim::Cycle sample_interval = flags.get_uint("sample-interval", 0);
+  flags.reject_unknown();
 
   // Static config validation: collect every violation (including an
   // unparsable --policy or --router) into one report so the operator sees
   // the full list, then refuse with exit code 2 and the stable rule ids.
   verify::Report options_report;
   try {
-    serve_options.policy = serve::parse_policy(flags.get("policy", "drop"));
+    serve_options.policy = serve::parse_policy(policy_flag);
   } catch (const std::invalid_argument& e) {
     verify::Diagnostic diagnostic;
     diagnostic.rule = "serve.options.policy";
@@ -140,8 +149,7 @@ int run(int argc, char** argv) {
     options_report.add(std::move(diagnostic));
   }
   try {
-    fleet_options.router =
-        serve::parse_router(flags.get("router", "round-robin"));
+    fleet_options.router = serve::parse_router(router_flag);
   } catch (const std::invalid_argument& e) {
     verify::Diagnostic diagnostic;
     diagnostic.rule = "fleet.options.router";
@@ -159,19 +167,11 @@ int run(int argc, char** argv) {
   sim::GpuConfig config = sim::GpuConfig::gtx480();
   config.scheme = &entry;
 
-  // With --inject, --json names the injection ledger, not the run report.
-  const std::string json_path = flags.get("json", "");
-  const std::string report_path = inject.empty() ? json_path : "";
-  const std::string trace_path = flags.get("trace", "");
-  const sim::Cycle sample_interval = flags.get_uint("sample-interval", 0);
   std::unique_ptr<telemetry::RunTelemetry> collect;
   if (!report_path.empty() || !trace_path.empty() || serve_options.profile) {
     telemetry::TelemetryOptions topts;
     topts.sample_interval = sample_interval;
     collect = std::make_unique<telemetry::RunTelemetry>(topts);
-  }
-  for (const auto& unused : flags.unused()) {
-    std::fprintf(stderr, "warning: unused flag --%s\n", unused.c_str());
   }
 
   std::vector<serve::NamedNetwork> networks;
